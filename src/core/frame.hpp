@@ -35,6 +35,9 @@ struct TrajectoryFrame {
   /// (p - centroid) onto each axis.
   std::vector<double> to_local(const Vec3& p) const;
 
+  /// Same coordinates written to out[0..rank) without allocating.
+  void to_local(const Vec3& p, double* out) const;
+
   /// Reconstruct a global point from local coordinates plus a perpendicular
   /// offset (0 when has_perpendicular is false).
   Vec3 from_local(const std::vector<double>& local, double perp = 0.0) const;

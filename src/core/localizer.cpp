@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "linalg/decompositions.hpp"
+#include "linalg/small.hpp"
 #include "obs/obs.hpp"
 
 namespace lion::core {
@@ -147,9 +148,14 @@ LocalizationResult LinearLocalizer::assemble_result(
   out.consensus_threshold = oc.consensus_threshold;
   out.equations = equations;
   out.trajectory_rank = frame.rank;
-  out.condition = sys.a.rows() >= sys.a.cols()
-                      ? linalg::HouseholderQR(sys.a).condition_estimate()
-                      : std::numeric_limits<double>::infinity();
+  if (sys.a.rows() >= sys.a.cols()) {
+    std::vector<double> local_scratch;
+    out.condition = linalg::qr_condition_estimate(
+        sys.a, config_.workspace ? config_.workspace->qr_scratch
+                                 : local_scratch);
+  } else {
+    out.condition = std::numeric_limits<double>::infinity();
+  }
 
   out.solver_iterations = sol.iterations;
   out.mean_residual = sol.mean_residual;

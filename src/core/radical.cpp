@@ -33,15 +33,22 @@ LinearSystem build_system(const signal::PhaseProfile& profile,
         profile[i].phase - theta_ref, wavelength);
   }
 
-  // Local coordinates of every point referenced by a pair (memoized).
-  std::vector<std::vector<double>> local(profile.size());
+  // Local coordinates and their squared norms for every point referenced
+  // by a pair, memoized in flat arrays.
+  const std::size_t stride = frame.axes.size();
+  std::vector<double> local(profile.size() * stride);
+  std::vector<double> norm2(profile.size());
   std::vector<char> have(profile.size(), 0);
-  auto local_of = [&](std::size_t idx) -> const std::vector<double>& {
+  auto local_of = [&](std::size_t idx) -> const double* {
+    double* q = local.data() + idx * stride;
     if (!have[idx]) {
-      local[idx] = frame.to_local(profile[idx].position);
+      frame.to_local(profile[idx].position, q);
+      double n2 = 0.0;
+      for (std::size_t c = 0; c < rank; ++c) n2 += q[c] * q[c];
+      norm2[idx] = n2;
       have[idx] = 1;
     }
-    return local[idx];
+    return q;
   };
 
   sys.a = linalg::Matrix(pairs.size(), cols);
@@ -52,19 +59,14 @@ LinearSystem build_system(const signal::PhaseProfile& profile,
     if (i >= profile.size() || j >= profile.size()) {
       throw std::invalid_argument("build_system: pair index out of range");
     }
-    const auto& qi = local_of(i);
-    const auto& qj = local_of(j);
-    double qi2 = 0.0;
-    double qj2 = 0.0;
-    for (std::size_t c = 0; c < rank; ++c) {
-      sys.a(row, c) = 2.0 * (qi[c] - qj[c]);
-      qi2 += qi[c] * qi[c];
-      qj2 += qj[c] * qj[c];
-    }
+    const double* qi = local_of(i);
+    const double* qj = local_of(j);
+    double* out = sys.a.row_data(row);
+    for (std::size_t c = 0; c < rank; ++c) out[c] = 2.0 * (qi[c] - qj[c]);
     const double ddi = sys.delta_d[i];
     const double ddj = sys.delta_d[j];
-    sys.a(row, rank) = 2.0 * (ddi - ddj);
-    sys.k[row] = qi2 - qj2 - ddi * ddi + ddj * ddj;
+    out[rank] = 2.0 * (ddi - ddj);
+    sys.k[row] = norm2[i] - norm2[j] - ddi * ddi + ddj * ddj;
   }
   return sys;
 }

@@ -170,38 +170,48 @@ void full_row_fallback_ws(linalg::SolverWorkspace& ws,
 
 // One fused pass over the full system for a candidate x: residuals into
 // `residuals`, squared residuals into `scratch` (the future median input),
-// and a count of squared residuals strictly below `best`. Templated on the
-// column count so the dot product fully unrolls; the accumulation order is
-// the rolled loop's, so residual values are unchanged.
+// and a count of squared residuals strictly below `best`. The pass stops
+// early once fewer than `need` rows could still end up below `best` —
+// the candidate is then a proven loser (see the prescreen below) and its
+// partial buffers are never read. Templated on the column count so the
+// dot product fully unrolls; the accumulation order is the rolled loop's,
+// so residual values are unchanged.
 template <std::size_t P>
 std::size_t candidate_pass(const linalg::SolverWorkspace& ws, const double* x,
-                           double best, double* residuals, double* scratch) {
+                           double best, std::size_t need, double* residuals,
+                           double* scratch) {
+  constexpr std::size_t kBlock = 256;
   const std::size_t n = ws.rows();
   std::size_t below = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = ws.row(i);
-    double s = 0.0;
-    for (std::size_t c = 0; c < P; ++c) s += row[c] * x[c];
-    const double r = s - ws.rhs(i);
-    residuals[i] = r;
-    const double sq = r * r;
-    scratch[i] = sq;
-    if (sq < best) ++below;
+  for (std::size_t start = 0; start < n; start += kBlock) {
+    const std::size_t end = std::min(n, start + kBlock);
+    for (std::size_t i = start; i < end; ++i) {
+      const double* row = ws.row(i);
+      double s = 0.0;
+      for (std::size_t c = 0; c < P; ++c) s += row[c] * x[c];
+      const double r = s - ws.rhs(i);
+      residuals[i] = r;
+      const double sq = r * r;
+      scratch[i] = sq;
+      below += sq < best ? 1 : 0;
+    }
+    if (below + (n - end) < need) break;
   }
   return below;
 }
 
 std::size_t candidate_pass(const linalg::SolverWorkspace& ws, const double* x,
-                           double best, double* residuals, double* scratch) {
+                           double best, std::size_t need, double* residuals,
+                           double* scratch) {
   switch (ws.cols()) {
     case 1:
-      return candidate_pass<1>(ws, x, best, residuals, scratch);
+      return candidate_pass<1>(ws, x, best, need, residuals, scratch);
     case 2:
-      return candidate_pass<2>(ws, x, best, residuals, scratch);
+      return candidate_pass<2>(ws, x, best, need, residuals, scratch);
     case 3:
-      return candidate_pass<3>(ws, x, best, residuals, scratch);
+      return candidate_pass<3>(ws, x, best, need, residuals, scratch);
     default:
-      return candidate_pass<4>(ws, x, best, residuals, scratch);
+      return candidate_pass<4>(ws, x, best, need, residuals, scratch);
   }
 }
 
@@ -250,7 +260,7 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       linalg::SmallCholesky chol;
       if (small_cholesky_factor(g, chol)) {
         small_cholesky_solve(chol, rhs, x);
-        candidate_pass(ws, x, best_score, ws.residuals.data(),
+        candidate_pass(ws, x, best_score, 0, ws.residuals.data(),
                        ws.median_scratch.data());
         const double score = linalg::median_in_place(
             ws.median_scratch.data(), ws.median_scratch.data() + n);
@@ -307,8 +317,9 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       continue;
     }
     ++evaluated;
-    const std::size_t below = candidate_pass(
-        ws, x, best_score, ws.residuals.data(), ws.median_scratch.data());
+    const std::size_t below =
+        candidate_pass(ws, x, best_score, median_need, ws.residuals.data(),
+                       ws.median_scratch.data());
     if (below < median_need) continue;  // median provably >= best_score
     const double score = linalg::median_in_place(
         ws.median_scratch.data(), ws.median_scratch.data() + n);

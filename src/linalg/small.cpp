@@ -1,6 +1,8 @@
 #include "linalg/small.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "linalg/decompositions.hpp"
@@ -106,26 +108,12 @@ void SolverWorkspace::load(const Matrix& a, const std::vector<double>& b) {
   }
   n_ = n;
   p_ = p;
-  packed_ = p * (p + 1) / 2;
   rows_.resize(n * p);
-  products_.resize(n * packed_);
-  rhsp_.resize(n * p);
   b_.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    const double* src = a.row_data(r);
-    double* row = rows_.data() + r * p;
-    double* prod = products_.data() + r * packed_;
-    double* rhsp = rhsp_.data() + r * p;
-    const double br = b[r];
-    for (std::size_t c = 0; c < p; ++c) row[c] = src[c];
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      const double ri = row[i];
-      for (std::size_t j = i; j < p; ++j) prod[k++] = ri * row[j];
-      rhsp[i] = row[i] * br;
-    }
-    b_[r] = br;
+    std::copy(a.row_data(r), a.row_data(r) + p, rows_.data() + r * p);
   }
+  std::copy(b.begin(), b.end(), b_.begin());
 }
 
 Matrix SolverWorkspace::gram_matrix() const {
@@ -144,90 +132,147 @@ Matrix SolverWorkspace::gram_matrix() const {
   return out;
 }
 
-// The three accumulators below sum per-row contributions exactly as
-// Matrix::gram / transpose_multiply / weighted_gram /
-// weighted_transpose_multiply do over the corresponding row-subset
-// matrix. The unweighted forms add the cached products unconditionally
-// where the Matrix code skips zero terms — for finite inputs adding a
-// (+/-)0.0 product never changes an accumulator that started at +0.0
-// (and can never round to -0.0), so the sums are bit-identical. The
-// weighted form cannot use the product cache at all (w*(a_i*a_j) rounds
-// differently from (w*a_i)*a_j); it keeps the legacy per-term expressions
-// ((w * a_i) * a_j, a_c * (w * b)) over the cached raw rows. The legacy
-// `w != 0` / `w * a_i == 0` guards only ever skip (+/-)0.0 contributions,
-// so by the same zero-identity argument the straight-line form below is
-// bit-identical too — and, with the column count a template constant, it
-// unrolls and vectorizes.
+// The two accumulators below sum per-row contributions exactly as
+// Matrix::gram / transpose_multiply do over the corresponding row-subset
+// matrix: the products a_i * a_j and a_c * b in (i, j >= i) order. They
+// add every product where the Matrix code skips zero terms — for finite
+// inputs adding a (+/-)0.0 product never changes an accumulator that
+// started at +0.0 (and can never round to -0.0), so the sums are
+// bit-identical. The sums are held in locals (seeded from, and written
+// back to, g and rhs) so the add chains stay in registers. Weighted grams
+// keep their own (w * a_i) * a_j association in the IRLS reweighting pass
+// (lstsq.cpp).
+
+namespace {
+
+template <std::size_t P>
+struct NormalSums {
+  double g[P][P] = {};  // upper triangle used
+  double rhs[P] = {};
+
+  NormalSums(const SmallGram& from, const double* from_rhs) {
+    for (std::size_t i = 0; i < P; ++i) {
+      for (std::size_t j = i; j < P; ++j) g[i][j] = from.g[i][j];
+      rhs[i] = from_rhs[i];
+    }
+  }
+  void add(const double* row, double b) {
+    for (std::size_t i = 0; i < P; ++i) {
+      const double ri = row[i];
+      for (std::size_t j = i; j < P; ++j) g[i][j] += ri * row[j];
+      rhs[i] += ri * b;
+    }
+  }
+  void store(SmallGram& to, double* to_rhs) const {
+    for (std::size_t i = 0; i < P; ++i) {
+      for (std::size_t j = i; j < P; ++j) to.g[i][j] = g[i][j];
+      to_rhs[i] = rhs[i];
+    }
+  }
+};
+
+template <std::size_t P>
+void accumulate_rows_impl(const SolverWorkspace& ws, const std::size_t* rows,
+                          std::size_t m, SmallGram& g, double* rhs) {
+  NormalSums<P> sums(g, rhs);
+  for (std::size_t r = 0; r < m; ++r) sums.add(ws.row(rows[r]), ws.rhs(rows[r]));
+  sums.store(g, rhs);
+}
+
+template <std::size_t P>
+void accumulate_masked_impl(const SolverWorkspace& ws, const char* mask,
+                            SmallGram& g, double* rhs) {
+  NormalSums<P> sums(g, rhs);
+  for (std::size_t r = 0; r < ws.rows(); ++r) {
+    if (mask && !mask[r]) continue;
+    sums.add(ws.row(r), ws.rhs(r));
+  }
+  sums.store(g, rhs);
+}
+
+}  // namespace
 
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs) {
-  const std::size_t p = ws.cols();
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* prod = ws.products(rows[r]);
-    const double* rhsp = ws.rhs_products(rows[r]);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i; j < p; ++j) g.g[i][j] += prod[k++];
-    }
-    for (std::size_t c = 0; c < p; ++c) rhs[c] += rhsp[c];
+  switch (ws.cols()) {
+    case 1:
+      return accumulate_rows_impl<1>(ws, rows, m, g, rhs);
+    case 2:
+      return accumulate_rows_impl<2>(ws, rows, m, g, rhs);
+    case 3:
+      return accumulate_rows_impl<3>(ws, rows, m, g, rhs);
+    default:
+      return accumulate_rows_impl<4>(ws, rows, m, g, rhs);
   }
 }
 
 void accumulate_masked(const SolverWorkspace& ws, const char* mask,
                        SmallGram& g, double* rhs) {
-  const std::size_t p = ws.cols();
-  for (std::size_t r = 0; r < ws.rows(); ++r) {
-    if (mask && !mask[r]) continue;
-    const double* prod = ws.products(r);
-    const double* rhsp = ws.rhs_products(r);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i; j < p; ++j) g.g[i][j] += prod[k++];
-    }
-    for (std::size_t c = 0; c < p; ++c) rhs[c] += rhsp[c];
-  }
-}
-
-namespace {
-
-template <std::size_t P>
-void accumulate_weighted_masked_impl(const SolverWorkspace& ws,
-                                     const char* mask, const double* w,
-                                     SmallGram& g, double* rhs) {
-  std::size_t sel = 0;
-  for (std::size_t r = 0; r < ws.rows(); ++r) {
-    if (mask && !mask[r]) continue;
-    const double* row = ws.row(r);
-    const double wr = w[sel];
-    const double wv = wr * ws.rhs(r);
-    ++sel;
-    double wrow[P];
-    for (std::size_t i = 0; i < P; ++i) wrow[i] = wr * row[i];
-    for (std::size_t i = 0; i < P; ++i) {
-      for (std::size_t j = i; j < P; ++j) g.g[i][j] += wrow[i] * row[j];
-    }
-    for (std::size_t c = 0; c < P; ++c) rhs[c] += row[c] * wv;
-  }
-}
-
-}  // namespace
-
-void accumulate_weighted_masked(const SolverWorkspace& ws, const char* mask,
-                                const double* w, SmallGram& g, double* rhs) {
   switch (ws.cols()) {
     case 1:
-      accumulate_weighted_masked_impl<1>(ws, mask, w, g, rhs);
-      return;
+      return accumulate_masked_impl<1>(ws, mask, g, rhs);
     case 2:
-      accumulate_weighted_masked_impl<2>(ws, mask, w, g, rhs);
-      return;
+      return accumulate_masked_impl<2>(ws, mask, g, rhs);
     case 3:
-      accumulate_weighted_masked_impl<3>(ws, mask, w, g, rhs);
-      return;
+      return accumulate_masked_impl<3>(ws, mask, g, rhs);
     default:
-      accumulate_weighted_masked_impl<4>(ws, mask, w, g, rhs);
-      return;
+      return accumulate_masked_impl<4>(ws, mask, g, rhs);
   }
+}
+
+void qr_r_diagonal(const Matrix& a, std::vector<double>& scratch,
+                   double* diag) {
+  const std::size_t m = a.rows();
+  const std::size_t p = a.cols();
+  if (p == 0 || p > kSmallMaxCols || m < p) {
+    throw std::invalid_argument("qr_r_diagonal: shape outside the small kernel");
+  }
+  // Column k occupies q[k*m .. k*m + m): the reflector loops below walk
+  // rows within a column, which is contiguous here.
+  scratch.resize(m * p);
+  double* q = scratch.data();
+  for (std::size_t r = 0; r < m; ++r) {
+    const double* row = a.row_data(r);
+    for (std::size_t c = 0; c < p; ++c) q[c * m + r] = row[c];
+  }
+  // Mirrors the HouseholderQR constructor; R_kk is the diagonal entry it
+  // leaves behind (alpha, or the untouched entry of a skipped column).
+  for (std::size_t k = 0; k < p; ++k) {
+    double* col = q + k * m;
+    double norm2 = 0.0;
+    for (std::size_t i = k; i < m; ++i) norm2 += col[i] * col[i];
+    const double norm = std::sqrt(norm2);
+    const double akk = col[k];
+    diag[k] = std::abs(akk);
+    if (norm == 0.0) continue;
+    const double alpha = akk >= 0 ? -norm : norm;
+    const double v0 = akk - alpha;
+    const double vnorm2 = v0 * v0 + (norm2 - akk * akk);
+    if (vnorm2 == 0.0) continue;
+    diag[k] = std::abs(alpha);
+    if (k + 1 == p) break;
+    const double beta = 2.0 * v0 * v0 / vnorm2;
+    for (std::size_t i = k + 1; i < m; ++i) col[i] /= v0;
+    for (std::size_t j = k + 1; j < p; ++j) {
+      double* cj = q + j * m;
+      double s = cj[k];
+      for (std::size_t i = k + 1; i < m; ++i) s += col[i] * cj[i];
+      s *= beta;
+      cj[k] -= s;
+      for (std::size_t i = k + 1; i < m; ++i) cj[i] -= s * col[i];
+    }
+  }
+}
+
+double qr_condition_estimate(const Matrix& a, std::vector<double>& scratch) {
+  if (a.cols() == 0 || a.cols() > kSmallMaxCols) {
+    return HouseholderQR(a).condition_estimate();
+  }
+  double diag[kSmallMaxCols];
+  qr_r_diagonal(a, scratch, diag);
+  const auto [mn, mx] = std::minmax_element(diag, diag + a.cols());
+  if (*mn == 0.0) return std::numeric_limits<double>::infinity();
+  return *mx / *mn;
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +321,7 @@ void IncrementalNormals::downdate(const double* a, double k) {
 
 void IncrementalNormals::append_weighted(const double* a, double k, double w) {
   // Legacy weighted-gram term order: (w * a_i) * a_j and a_i * (w * k),
-  // matching accumulate_weighted_masked / Matrix::weighted_gram.
+  // matching Matrix::weighted_gram and the IRLS reweighting pass.
   const double wk = w * k;
   double wa[kSmallMaxCols];
   for (std::size_t i = 0; i < p_; ++i) wa[i] = w * a[i];

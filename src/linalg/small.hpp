@@ -17,15 +17,11 @@
 //   randomized kernel tests in tests/linalg/test_small.cpp assert exact
 //   (==) agreement, not just closeness.
 //
-// The SolverWorkspace carries per-row caches of the loaded system:
-//   - packed symmetric outer products P_r = upper(a_r a_r^T) and rhs
-//     products q_r = a_r * b_r, summable in row order into an unweighted
-//     gram / A^T b with exactly the legacy rounding (used by every
-//     RANSAC minimal-subset solve and every OLS seed solve);
-//   - the raw rows and b, for the *weighted* accumulations, which must
-//     keep the legacy (w * a_i) * a_j multiplication order — caching the
-//     product a_i * a_j first would associate differently and break
-//     bit-exactness, so weighted grams re-read the cached rows instead.
+// The SolverWorkspace keeps a row-major copy of the loaded system. The
+// unweighted grams (RANSAC minimal subsets, OLS seeds, GDOP) form each
+// product a_i * a_j on the fly in Matrix::gram's order; the weighted
+// grams keep the legacy (w * a_i) * a_j association — forming a_i * a_j
+// first would round differently and break bit-exactness.
 #pragma once
 
 #include <cstddef>
@@ -91,7 +87,7 @@ SolveStatus small_qr_solve(double a[][kSmallMaxCols], double* b,
 
 /// Reusable scratch for the consensus/IRLS solver stack. One workspace
 /// per thread (the batch engine keeps one per pool worker); load() caches
-/// a system's rows and per-row products, and the public buffers back
+/// a system's rows and rhs, and the public buffers back
 /// every intermediate the solvers need. All storage grows geometrically
 /// and never shrinks, so a warmed workspace makes the steady-state
 /// solve loop allocation-free (asserted by tests/perf/test_alloc.cpp).
@@ -104,52 +100,40 @@ class SolverWorkspace {
   SolverWorkspace(const SolverWorkspace&) = delete;
   SolverWorkspace& operator=(const SolverWorkspace&) = delete;
 
-  /// Cache system (a, b): raw rows, b, packed outer products, rhs
-  /// products. Requires a.cols() <= kSmallMaxCols and b.size() ==
-  /// a.rows() (throws std::invalid_argument otherwise).
+  /// Cache system (a, b): its rows and rhs. Requires a.cols() <=
+  /// kSmallMaxCols and b.size() == a.rows() (throws
+  /// std::invalid_argument otherwise).
   void load(const Matrix& a, const std::vector<double>& b);
 
   std::size_t rows() const { return n_; }
   std::size_t cols() const { return p_; }
-  std::size_t packed_size() const { return packed_; }
   bool loaded() const { return p_ != 0; }
 
   /// Row r of the cached design matrix (cols() entries).
   const double* row(std::size_t r) const { return rows_.data() + r * p_; }
-  /// Packed upper-triangle outer product of row r (packed_size() entries,
-  /// (i, j >= i) row-major — the accumulation order of Matrix::gram).
-  const double* products(std::size_t r) const {
-    return products_.data() + r * packed_;
-  }
-  /// Per-row rhs products q_r(c) = a(r, c) * b(r) (cols() entries).
-  const double* rhs_products(std::size_t r) const {
-    return rhsp_.data() + r * p_;
-  }
   double rhs(std::size_t r) const { return b_[r]; }
+  /// The cached rhs vector (rows() entries).
+  const double* rhs_data() const { return b_.data(); }
 
-  /// A^T A of the loaded system, summed from the cached products —
-  /// bit-exact with Matrix::gram() on the loaded matrix, without
-  /// re-reading it (used by the GDOP diagnostics after a workspace
+  /// A^T A of the loaded system, bit-exact with Matrix::gram() on the
+  /// loaded matrix (used by the GDOP diagnostics after a workspace
   /// solve). Requires loaded().
   Matrix gram_matrix() const;
 
   // Scratch buffers, resized (never shrunk) by the solver routines.
   std::vector<double> residuals;       ///< candidate residuals (RANSAC)
   std::vector<double> best_residuals;  ///< best-so-far residuals (RANSAC)
-  std::vector<double> squared;         ///< generic squared-value scratch
-  std::vector<double> median_scratch;  ///< median_in_place victim buffer
+  std::vector<double> median_scratch;  ///< median selection buffer
   std::vector<double> abs_dev;         ///< MAD deviations (robust weights)
-  std::vector<double> weights;         ///< per-row IRLS weights
+  std::vector<double> irls_rows;       ///< compacted masked rows (IRLS)
+  std::vector<double> irls_rhs;        ///< compacted masked rhs (IRLS)
+  std::vector<double> qr_scratch;      ///< column-major copy (qr_r_diagonal)
   std::vector<std::size_t> indices;    ///< Fisher-Yates subset sampler
-  LstsqResult irls_scratch;            ///< IRLS double-buffer slot
 
  private:
   std::size_t n_ = 0;
   std::size_t p_ = 0;
-  std::size_t packed_ = 0;
   std::vector<double> rows_;
-  std::vector<double> products_;
-  std::vector<double> rhsp_;
   std::vector<double> b_;
 };
 
@@ -182,7 +166,7 @@ class IncrementalNormals {
 
   /// Weighted rank-1 update: G += w a a^T, c += a (w k), kk += (w k) k.
   /// Keeps the legacy weighted-gram multiplication order ((w * a_i) * a_j
-  /// and a_c * (w * k), the accumulate_weighted_masked order) so a gram
+  /// and a_c * (w * k), the Matrix::weighted_gram order) so a gram
   /// assembled by weighted appends in row order is bit-exact with
   /// Matrix::weighted_gram on the materialized system. append(a, k) and
   /// append_weighted(a, k, 1.0) differ in rounding (the unweighted form
@@ -240,10 +224,10 @@ class IncrementalNormals {
   double wsum_ = 0.0;        ///< weight mass over live rows
 };
 
-/// g += sum of cached outer products of `rows[0..m)` (in that order) and
-/// rhs[c] += the matching rhs products — the unweighted normal equations
-/// of the row subset, bit-exact with Matrix::gram / transpose_multiply
-/// on the gathered submatrix. `g` must be reset to ws.cols() and `rhs`
+/// g += the outer products a_r a_r^T of `rows[0..m)` (in that order) and
+/// rhs[c] += a_r(c) * b_r — the unweighted normal equations of the row
+/// subset, bit-exact with Matrix::gram / transpose_multiply on the
+/// gathered submatrix. `g` must be reset to ws.cols() and `rhs`
 /// zeroed by the caller; call g.mirror() afterwards.
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs);
@@ -253,12 +237,19 @@ void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
 void accumulate_masked(const SolverWorkspace& ws, const char* mask,
                        SmallGram& g, double* rhs);
 
-/// Weighted normal equations over the masked rows: w[k] is the weight of
-/// the k-th *selected* row. Keeps the legacy multiplication order
-/// ((w * a_i) * a_j and a_c * (w * b)) by reading the cached raw rows, so
-/// the result is bit-exact with Matrix::weighted_gram /
-/// weighted_transpose_multiply on the materialized subsystem.
-void accumulate_weighted_masked(const SolverWorkspace& ws, const char* mask,
-                                const double* w, SmallGram& g, double* rhs);
+/// Absolute values of the R diagonal of the Householder QR of `a`
+/// (rows >= cols, cols <= kSmallMaxCols), bit-identical with
+/// HouseholderQR(a).r_diagonal(): the same reflector operations over a
+/// column-major copy of `a` held in `scratch`, without materializing a
+/// Matrix and without applying the last reflector. Writes a.cols()
+/// entries to `diag`. Throws std::invalid_argument on a shape outside
+/// that range.
+void qr_r_diagonal(const Matrix& a, std::vector<double>& scratch,
+                   double* diag);
+
+/// HouseholderQR(a).condition_estimate() (max |R_ii| / min |R_ii|,
+/// infinity when some R_ii is zero), through qr_r_diagonal when
+/// a.cols() <= kSmallMaxCols. Requires a.rows() >= a.cols().
+double qr_condition_estimate(const Matrix& a, std::vector<double>& scratch);
 
 }  // namespace lion::linalg

@@ -88,16 +88,60 @@ double median(std::vector<double> v) {
 }
 
 double median_in_place(double* first, double* last) {
+  return median_order_in_place(first, last).median;
+}
+
+namespace {
+
+// Middle order statistics once a[k] holds the upper middle value with
+// everything left of it no larger (the selection postcondition): for an
+// even-sized sample the lower middle is then the maximum of a[0..k).
+MedianOrder middle_of_selected(const double* a, std::size_t k, bool odd) {
+  MedianOrder m;
+  m.upper = a[k];
+  if (odd) {
+    m.lower = m.upper;
+    m.median = m.upper;
+  } else {
+    m.lower = *std::max_element(a, a + static_cast<std::ptrdiff_t>(k));
+    m.median = 0.5 * (m.lower + m.upper);
+  }
+  return m;
+}
+
+}  // namespace
+
+MedianOrder median_order_in_place(double* first, double* last) {
   if (first == last) throw std::invalid_argument("median: empty input");
   const auto n = static_cast<std::size_t>(last - first);
-  const std::size_t mid = n / 2;
   floyd_rivest_select(first, 0, static_cast<std::ptrdiff_t>(n) - 1,
-                      static_cast<std::ptrdiff_t>(mid));
-  const double hi = first[mid];
-  if (n % 2 == 1) return hi;
-  const double lo =
-      *std::max_element(first, first + static_cast<std::ptrdiff_t>(mid));
-  return 0.5 * (lo + hi);
+                      static_cast<std::ptrdiff_t>(n / 2));
+  return middle_of_selected(first, n / 2, n % 2 == 1);
+}
+
+bool median_in_bracket(const double* values, std::size_t n, double lo,
+                       double hi, double* scratch, MedianOrder& out) {
+  if (n == 0) return false;
+  std::size_t below = 0;
+  std::size_t inside = 0;
+  // Which side of a narrow bracket a value falls on is a coin flip, so
+  // that count is branch-free; landing inside is the rare case.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = values[i];
+    below += v < lo ? 1 : 0;
+    if (v >= lo && v <= hi) [[unlikely]] scratch[inside++] = v;
+  }
+  // Ranks (n-1)/2 and n/2 of the whole sample are ranks (n-1)/2 - below
+  // and n/2 - below of the bracketed values exactly when both fall in
+  // [below, below + inside).
+  const std::size_t mid = n / 2;
+  const std::size_t low_rank = (n - 1) / 2;
+  if (below > low_rank || mid >= below + inside) return false;
+  const std::size_t k = mid - below;
+  floyd_rivest_select(scratch, 0, static_cast<std::ptrdiff_t>(inside) - 1,
+                      static_cast<std::ptrdiff_t>(k));
+  out = middle_of_selected(scratch, k, n % 2 == 1);
+  return true;
 }
 
 double percentile(std::vector<double> v, double p) {

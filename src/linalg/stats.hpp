@@ -24,6 +24,30 @@ double median(std::vector<double> v);
 /// buffer). Same selection, same result. Throws on an empty range.
 double median_in_place(double* first, double* last);
 
+/// The middle of a sample of n values: its two middle order statistics
+/// (0-based ranks (n-1)/2 and n/2 of the sorted sample, equal for odd n)
+/// and the median they define, bit-identical with median_in_place.
+struct MedianOrder {
+  double lower = 0.0;
+  double upper = 0.0;
+  double median = 0.0;
+};
+
+/// median_in_place, also reporting both middle order statistics.
+MedianOrder median_order_in_place(double* first, double* last);
+
+/// Exact median from a bracket [lo, hi] believed to hold the middle order
+/// statistics of values[0..n). One pass counts the values below lo and
+/// copies the values inside the bracket to `scratch` (capacity >= n); if
+/// the counts prove both middle ranks fall inside the bracket, the order
+/// statistics are selected among the copied values only, `out` is set
+/// bit-identical with median_order_in_place on the same values, and the
+/// result is true. Otherwise `out` is untouched and the result is false
+/// (the caller takes the full median). `values` is not modified. Input
+/// must be NaN-free, as for median_in_place; n == 0 returns false.
+bool median_in_bracket(const double* values, std::size_t n, double lo,
+                       double hi, double* scratch, MedianOrder& out);
+
 /// p-th percentile in [0, 100] with linear interpolation. Throws on empty
 /// input or p outside [0, 100].
 double percentile(std::vector<double> v, double p);

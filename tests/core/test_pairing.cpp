@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 namespace lion::core {
 namespace {
@@ -118,6 +121,109 @@ TEST(LadderPairs, RejectsNonPositiveInterval) {
 
 TEST(LadderPairs, EmptyProfileGivesNoPairs) {
   EXPECT_TRUE(ladder_pairs({}, 0.1).empty());
+}
+
+// The binary-search ladder: one lower_bound per (anchor, rung). The
+// library's cursor walk must emit exactly these pairs in this order.
+std::vector<IndexPair> ladder_pairs_reference(
+    const signal::PhaseProfile& profile, double interval, double tolerance,
+    std::size_t stride) {
+  if (stride == 0) stride = 1;
+  const auto arcs = signal::arc_lengths(profile);
+  if (arcs.empty()) return {};
+  const double total = arcs.back();
+  std::vector<IndexPair> pairs;
+  for (std::size_t i = 0; i < profile.size(); i += stride) {
+    for (double offset = interval; arcs[i] + offset <= total + tolerance;
+         offset *= 2.0) {
+      const double target = arcs[i] + offset;
+      const auto it = std::lower_bound(
+          arcs.begin() + static_cast<std::ptrdiff_t>(i) + 1, arcs.end(),
+          target);
+      if (it == arcs.end()) break;
+      const auto j = static_cast<std::size_t>(it - arcs.begin());
+      if (*it - target <= tolerance && j != i) pairs.emplace_back(i, j);
+    }
+  }
+  return pairs;
+}
+
+void expect_ladder_matches_reference(const signal::PhaseProfile& profile,
+                                     double interval, double tolerance,
+                                     std::size_t stride) {
+  EXPECT_EQ(ladder_pairs(profile, interval, tolerance, stride),
+            ladder_pairs_reference(profile, interval, tolerance, stride))
+      << "interval " << interval << " tolerance " << tolerance << " stride "
+      << stride;
+}
+
+TEST(LadderPairs, CursorWalkMatchesBinarySearchOnJitteredScans) {
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> step(0.0, 0.02);
+  for (int trial = 0; trial < 20; ++trial) {
+    signal::PhaseProfile profile;
+    double x = 0.0;
+    for (int i = 0; i < 300; ++i) {
+      x += step(rng);
+      profile.push_back({{x, 0.01 * (i % 3), 0.0}, 0.0, 0.0});
+    }
+    for (const double interval : {0.01, 0.05, 0.1, 0.37}) {
+      for (const double tol : {0.0, 0.005, 0.02, 0.1}) {
+        for (const std::size_t stride : {1u, 2u, 7u}) {
+          expect_ladder_matches_reference(profile, interval, tol, stride);
+        }
+      }
+    }
+  }
+}
+
+TEST(LadderPairs, CursorWalkMatchesBinarySearchOnRepeatedArcs) {
+  // Runs of samples at one position (a stalled tag) repeat arc values;
+  // lower_bound picks the first of a run, and so must the cursor.
+  signal::PhaseProfile profile;
+  for (int i = 0; i < 60; ++i) {
+    const double x = 0.02 * (i / 4);  // four reads per position
+    profile.push_back({{x, 0.0, 0.0}, 0.0, 0.0});
+  }
+  for (const double interval : {0.02, 0.04, 0.06, 0.1}) {
+    for (const std::size_t stride : {1u, 3u}) {
+      expect_ladder_matches_reference(profile, interval, 0.0, stride);
+      expect_ladder_matches_reference(profile, interval, 0.01, stride);
+    }
+  }
+  // Every sample at one position: all arcs zero.
+  const signal::PhaseProfile still(10, {{0.5, 0.5, 0.0}, 0.0, 0.0});
+  expect_ladder_matches_reference(still, 0.1, 0.2, 1);
+}
+
+TEST(LadderPairs, CursorWalkMatchesBinarySearchAtToleranceEdges) {
+  // 1 cm grid: rung targets land exactly on samples, and tolerances of
+  // 0 / just below / exactly the overshoot decide acceptance.
+  const auto profile = x_line(101);
+  for (const double interval : {0.015, 0.025, 0.03}) {
+    for (const double tol : {0.0, 0.0049, 0.005, 0.0051, 0.01}) {
+      expect_ladder_matches_reference(profile, interval, tol, 1);
+      expect_ladder_matches_reference(profile, interval, tol, 4);
+    }
+  }
+}
+
+TEST(LadderPairs, CursorWalkMatchesBinarySearchAcrossSegmentGaps) {
+  // Three segments with transit jumps between them: rungs landing in a
+  // gap overshoot their target and are dropped by the tolerance.
+  signal::PhaseProfile profile;
+  for (int seg = 0; seg < 3; ++seg) {
+    for (int i = 0; i <= 50; ++i) {
+      profile.push_back({{0.01 * i + 0.7 * seg, 0.3 * seg, 0.0}, 0.0, 0.0});
+    }
+  }
+  for (const double interval : {0.05, 0.2, 0.45}) {
+    for (const double tol : {0.02, 0.1, 0.5}) {
+      for (const std::size_t stride : {1u, 5u, 50u}) {
+        expect_ladder_matches_reference(profile, interval, tol, stride);
+      }
+    }
+  }
 }
 
 TEST(SpreadPairs, AllPairsRespectMinSeparation) {

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
+#include "linalg/decompositions.hpp"
 #include "linalg/small.hpp"
 #include "linalg/stats.hpp"
 
@@ -400,6 +402,170 @@ TEST(Irls, MaskedSolveMatchesMaterializedSubsystemBitExact) {
   EXPECT_EQ(got.rms_residual, ref.rms_residual);
   EXPECT_EQ(got.iterations, ref.iterations);
   EXPECT_EQ(got.converged, ref.converged);
+}
+
+// --- Workspace IRLS against the legacy Matrix path, bit for bit ----------
+
+void expect_same_result(const LstsqResult& got, const LstsqResult& ref) {
+  EXPECT_EQ(got.x, ref.x);
+  EXPECT_EQ(got.residuals, ref.residuals);
+  EXPECT_EQ(got.weights, ref.weights);
+  EXPECT_EQ(got.mean_residual, ref.mean_residual);
+  EXPECT_EQ(got.rms_residual, ref.rms_residual);
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.converged, ref.converged);
+}
+
+// Masked workspace solve vs legacy solve_irls on the materialized subset:
+// the same result, or a failure status exactly where the legacy throws.
+void expect_masked_matches_legacy(const Matrix& a, const std::vector<double>& b,
+                                  const std::vector<char>& mask,
+                                  const IrlsOptions& opt, SolverWorkspace& ws,
+                                  LstsqResult& got) {
+  std::size_t count = 0;
+  for (const char m : mask) count += m ? 1 : 0;
+  Matrix sub(count, a.cols());
+  std::vector<double> sub_b(count);
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    if (!mask[i]) continue;
+    for (std::size_t j = 0; j < a.cols(); ++j) sub(r, j) = a(i, j);
+    sub_b[r++] = b[i];
+  }
+  ws.load(a, b);
+  const SolveStatus st = solve_irls_masked(ws, mask.data(), count, opt, got);
+  LstsqResult ref;
+  try {
+    ref = solve_irls(sub, sub_b, opt);
+  } catch (const std::domain_error&) {
+    EXPECT_NE(st, SolveStatus::kOk);
+    return;
+  }
+  ASSERT_EQ(st, SolveStatus::kOk);
+  expect_same_result(got, ref);
+}
+
+TEST(Irls, WorkspaceMatchesLegacyAcrossLossesMasksAndSizes) {
+  std::mt19937_64 rng(35);
+  std::normal_distribution<double> noise(0.0, 0.05);
+  std::uniform_real_distribution<double> coord(-2.0, 2.0);
+  std::bernoulli_distribution keep(0.8);
+  SolverWorkspace ws;  // reused across shapes, as in the batch engine
+  LstsqResult got;
+  for (std::size_t p = 1; p <= 4; ++p) {
+    for (const std::size_t n : {9u, 10u, 57u, 200u, 401u}) {
+      Matrix a(n, p);
+      std::vector<double> b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        double truth = 0.0;
+        for (std::size_t j = 0; j < p; ++j) {
+          a(i, j) = coord(rng);
+          truth += (0.5 + static_cast<double>(j)) * a(i, j);
+        }
+        b[i] = truth + noise(rng) + (i % 9 == 4 ? 3.0 : 0.0);
+      }
+      std::vector<char> all(n, 1);
+      std::vector<char> random_mask(n);
+      std::vector<char> odd_rows(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        random_mask[i] = keep(rng) || i < p + 1 ? 1 : 0;
+        odd_rows[i] = static_cast<char>(i % 2);
+      }
+      for (RobustLoss loss :
+           {RobustLoss::kGaussian, RobustLoss::kHuber, RobustLoss::kTukey}) {
+        for (const auto* mask : {&all, &random_mask, &odd_rows}) {
+          IrlsOptions opt;
+          opt.loss = loss;
+          SCOPED_TRACE(::testing::Message()
+                       << "p=" << p << " n=" << n << " loss="
+                       << robust_loss_name(loss));
+          expect_masked_matches_legacy(a, b, *mask, opt, ws, got);
+          // Capped (non-converged) and zero-iteration runs.
+          opt.max_iterations = 2;
+          opt.tolerance = 0.0;
+          expect_masked_matches_legacy(a, b, *mask, opt, ws, got);
+          opt.max_iterations = 0;
+          expect_masked_matches_legacy(a, b, *mask, opt, ws, got);
+        }
+      }
+    }
+  }
+}
+
+TEST(Irls, WorkspaceMatchesLegacyWhenTukeyRefillsWithHuber) {
+  // A tuning constant so small that Tukey rejects every row of an
+  // even-sized system (no residual sits exactly on the averaged median):
+  // both paths must redo the round with Huber weights.
+  std::mt19937_64 rng(36);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  const std::size_t n = 40;
+  Matrix a(n, 3);
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) a(i, j) = d(rng);
+    b[i] = d(rng);
+  }
+  IrlsOptions opt;
+  opt.loss = RobustLoss::kTukey;
+  opt.tuning = 1e-6;
+  const auto first = solve_least_squares(a, b).residuals;
+  ASSERT_EQ(robust_residual_weights(first, RobustLoss::kTukey, opt.tuning),
+            robust_residual_weights(first, RobustLoss::kHuber, opt.tuning))
+      << "the first round must take the Huber refill";
+  const LstsqResult ref = solve_irls(a, b, opt);
+  SolverWorkspace ws;
+  LstsqResult got;
+  solve_irls(a, b, opt, ws, got);
+  expect_same_result(got, ref);
+}
+
+TEST(Irls, WorkspaceMatchesLegacyWhenCholeskyFallsBackToQr) {
+  // Nearly collinear columns: the normal equations square the tiny
+  // singular value away (Cholesky rejects) while QR on the design still
+  // resolves it. Unselected, well-conditioned rows must not leak in.
+  std::mt19937_64 rng(37);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 200 && checked < 5; ++trial) {
+    const std::size_t n = 40;  // every fourth row is a decoy
+    Matrix a(n, 2);
+    std::vector<double> b(n);
+    std::vector<char> mask(n, 0);
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = d(rng);
+      mask[i] = i % 4 != 3 ? 1 : 0;
+      count += mask[i];
+      a(i, 0) = 1.0;
+      a(i, 1) = mask[i] ? 1.0 + 1e-9 * t : d(rng);
+      b[i] = 2.0 + 3e-9 * t + 1e-12 * d(rng);
+    }
+    Matrix sub(count, 2);
+    std::vector<double> sub_b(count);
+    for (std::size_t i = 0, r = 0; i < n; ++i) {
+      if (!mask[i]) continue;
+      sub(r, 0) = a(i, 0);
+      sub(r, 1) = a(i, 1);
+      sub_b[r++] = b[i];
+    }
+    if (Cholesky::factor(sub.gram())) continue;  // need the QR fallback
+    IrlsOptions opt;
+    opt.loss = RobustLoss::kHuber;
+    LstsqResult ref;
+    try {
+      ref = solve_irls(sub, sub_b, opt);
+    } catch (const std::domain_error&) {
+      continue;  // rank deficient for QR too
+    }
+    SolverWorkspace ws;
+    ws.load(a, b);
+    LstsqResult got;
+    ASSERT_EQ(solve_irls_masked(ws, mask.data(), count, opt, got),
+              SolveStatus::kOk);
+    expect_same_result(got, ref);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no trial exercised the QR fallback";
 }
 
 TEST(Irls, MaskedSolveReportsUnderdeterminedStatus) {

@@ -127,74 +127,42 @@ TEST(SmallKernels, GramMatrixHelperMatchesGramBitExact) {
   EXPECT_THROW(empty.gram_matrix(), std::logic_error);
 }
 
-TEST(SmallKernels, WeightedAccumulationMatchesWeightedGramBitExact) {
-  std::mt19937_64 rng(10);
-  for (std::size_t p = 2; p <= 4; ++p) {
-    for (int trial = 0; trial < 50; ++trial) {
-      const std::size_t n = 8 + static_cast<std::size_t>(trial % 7);
-      Matrix a = random_matrix(rng, n, p, 2.0);
-      const auto b = random_vector(rng, n);
-      auto w = random_vector(rng, n, 0.0, 1.0);
-      // Exercise the zero-weight / zero-entry skip branches of the
-      // legacy weighted_gram, which the straight-line kernel must match.
-      w[trial % n] = 0.0;
-      a((trial + 1) % n, trial % p) = 0.0;
-
-      SolverWorkspace ws;
-      ws.load(a, b);
-      SmallGram g;
-      g.reset(p);
-      double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
-      accumulate_weighted_masked(ws, nullptr, w.data(), g, rhs);
-      g.mirror();
-
-      const Matrix ref = a.weighted_gram(w);
-      const auto ref_rhs = a.weighted_transpose_multiply(w, b);
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = 0; j < p; ++j) EXPECT_EQ(g.g[i][j], ref(i, j));
-        EXPECT_EQ(rhs[i], ref_rhs[i]);
+TEST(SmallKernels, QrRDiagonalMatchesHouseholderBitExact) {
+  std::mt19937_64 rng(12);
+  std::vector<double> scratch;  // reused across shapes
+  for (std::size_t p = 1; p <= 4; ++p) {
+    for (const std::size_t m : {p, p + 1, std::size_t{17}, std::size_t{300}}) {
+      for (int trial = 0; trial < 10; ++trial) {
+        Matrix a = random_matrix(rng, m, p, 3.0);
+        if (trial == 1) {
+          for (std::size_t i = 0; i < m; ++i) a(i, p - 1) = 0.0;  // zero column
+        }
+        if (trial == 2 && p >= 2) {
+          for (std::size_t i = 0; i < m; ++i) a(i, 1) = 2.0 * a(i, 0);
+        }
+        double diag[kSmallMaxCols];
+        qr_r_diagonal(a, scratch, diag);
+        const HouseholderQR ref(a);
+        const auto ref_diag = ref.r_diagonal();
+        for (std::size_t k = 0; k < p; ++k) {
+          EXPECT_EQ(diag[k], ref_diag[k]) << "m=" << m << " p=" << p << " k=" << k;
+        }
+        EXPECT_EQ(qr_condition_estimate(a, scratch), ref.condition_estimate());
       }
     }
   }
 }
 
-TEST(SmallKernels, MaskedWeightedAccumulationMatchesSubsystem) {
-  std::mt19937_64 rng(11);
-  const std::size_t p = 4;
-  const std::size_t n = 30;
-  const Matrix a = random_matrix(rng, n, p);
-  const auto b = random_vector(rng, n);
-  std::vector<char> mask(n, 0);
-  std::uniform_int_distribution<int> coin(0, 1);
-  std::size_t count = 0;
-  for (auto& m : mask) count += (m = static_cast<char>(coin(rng)));
-  ASSERT_GT(count, p);
-  const auto w = random_vector(rng, count, 0.1, 2.0);
-
-  SolverWorkspace ws;
-  ws.load(a, b);
-  SmallGram g;
-  g.reset(p);
-  double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
-  accumulate_weighted_masked(ws, mask.data(), w.data(), g, rhs);
-  g.mirror();
-
-  // Materialize the masked subsystem and run the legacy reference on it.
-  Matrix sub(count, p);
-  std::vector<double> sub_b(count);
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!mask[i]) continue;
-    for (std::size_t c = 0; c < p; ++c) sub(r, c) = a(i, c);
-    sub_b[r] = b[i];
-    ++r;
-  }
-  const Matrix ref = sub.weighted_gram(w);
-  const auto ref_rhs = sub.weighted_transpose_multiply(w, sub_b);
-  for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = 0; j < p; ++j) EXPECT_EQ(g.g[i][j], ref(i, j));
-    EXPECT_EQ(rhs[i], ref_rhs[i]);
-  }
+TEST(SmallKernels, QrConditionEstimateHandlesWideAndBadShapes) {
+  std::mt19937_64 rng(13);
+  std::vector<double> scratch;
+  const Matrix wide = random_matrix(rng, 12, 6);  // beyond the small kernel
+  EXPECT_EQ(qr_condition_estimate(wide, scratch),
+            HouseholderQR(wide).condition_estimate());
+  double diag[kSmallMaxCols];
+  EXPECT_THROW(qr_r_diagonal(wide, scratch, diag), std::invalid_argument);
+  EXPECT_THROW(qr_r_diagonal(Matrix(2, 3), scratch, diag),
+               std::invalid_argument);
 }
 
 TEST(SmallKernels, CholeskyMatchesReferenceBitExact) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 namespace lion::linalg {
 namespace {
@@ -97,6 +100,130 @@ TEST(Stats, SummarizeBundlesAllFields) {
 
 TEST(Stats, SummarizeEmptyThrows) {
   EXPECT_THROW(summarize({}), std::invalid_argument);
+}
+
+// --- median_in_bracket: differential against median_order_in_place -------
+
+// The reference: full selection on a copy.
+MedianOrder reference_middle(const std::vector<double>& v) {
+  std::vector<double> copy = v;
+  return median_order_in_place(copy.data(), copy.data() + copy.size());
+}
+
+// Runs median_in_bracket and checks it either declines (returning false
+// with `out` untouched) or reports exactly the reference. Returns whether
+// it answered.
+bool check_bracket(const std::vector<double>& v, double lo, double hi) {
+  std::vector<double> scratch(v.size());
+  const std::vector<double> before = v;
+  MedianOrder out{-7.0, -7.0, -7.0};
+  const bool hit =
+      median_in_bracket(v.data(), v.size(), lo, hi, scratch.data(), out);
+  EXPECT_EQ(v, before) << "values must not be modified";
+  if (!hit) {
+    EXPECT_EQ(out.lower, -7.0);
+    EXPECT_EQ(out.upper, -7.0);
+    EXPECT_EQ(out.median, -7.0);
+    return false;
+  }
+  const MedianOrder ref = reference_middle(v);
+  EXPECT_EQ(out.lower, ref.lower);
+  EXPECT_EQ(out.upper, ref.upper);
+  EXPECT_EQ(out.median, ref.median);
+  return true;
+}
+
+TEST(MedianOrder, MatchesMedianInPlaceAndSortedRanks) {
+  std::mt19937_64 rng(41);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = d(rng);
+    std::vector<double> a = v;
+    std::vector<double> b = v;
+    const MedianOrder m = median_order_in_place(a.data(), a.data() + n);
+    EXPECT_EQ(m.median, median_in_place(b.data(), b.data() + n));
+    std::sort(v.begin(), v.end());
+    EXPECT_EQ(m.lower, v[(n - 1) / 2]);
+    EXPECT_EQ(m.upper, v[n / 2]);
+  }
+}
+
+TEST(MedianInBracket, RandomSizesWithTightAndLooseBrackets) {
+  std::mt19937_64 rng(42);
+  std::normal_distribution<double> d(0.0, 1.0);
+  std::uniform_real_distribution<double> pad(0.0, 0.05);
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 17u, 64u, 257u, 1000u, 1001u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> v(n);
+      for (auto& x : v) x = d(rng);
+      const MedianOrder ref = reference_middle(v);
+      // A bracket around the true middle always answers.
+      EXPECT_TRUE(check_bracket(v, ref.lower - pad(rng), ref.upper + pad(rng)))
+          << "n=" << n;
+      // The exact middle as a closed bracket answers too.
+      EXPECT_TRUE(check_bracket(v, ref.lower, ref.upper)) << "n=" << n;
+      // Arbitrary brackets either decline or agree exactly.
+      const double a = d(rng);
+      const double b = d(rng);
+      check_bracket(v, std::min(a, b), std::max(a, b));
+    }
+  }
+}
+
+TEST(MedianInBracket, DeclinesWhenTheBracketMisses) {
+  const std::vector<double> odd{5.0, 1.0, 4.0, 2.0, 3.0};  // middle 3
+  EXPECT_FALSE(check_bracket(odd, 3.5, 10.0));   // entirely above
+  EXPECT_FALSE(check_bracket(odd, -10.0, 2.5));  // entirely below
+  EXPECT_TRUE(check_bracket(odd, 2.5, 3.5));
+  const std::vector<double> even{4.0, 1.0, 3.0, 2.0};  // middles 2 and 3
+  EXPECT_FALSE(check_bracket(even, 2.5, 10.0));  // misses the lower middle
+  EXPECT_FALSE(check_bracket(even, -1.0, 2.5));  // misses the upper middle
+  EXPECT_FALSE(check_bracket(even, 2.2, 2.8));   // between them: both missed
+  EXPECT_TRUE(check_bracket(even, 2.0, 3.0));    // both middles needed
+}
+
+TEST(MedianInBracket, EmptyAndFullBrackets) {
+  const std::vector<double> v{0.3, -1.0, 2.0, 0.1, 0.2, 9.0};
+  EXPECT_FALSE(check_bracket(v, 1.0, 0.0));  // lo > hi: empty
+  EXPECT_FALSE(check_bracket(v, 0.15, 0.15));  // no value inside
+  EXPECT_TRUE(check_bracket(v, -1e300, 1e300));
+  EXPECT_TRUE(check_bracket(v, -INFINITY, INFINITY));
+  std::vector<double> scratch(1);
+  MedianOrder out;
+  EXPECT_FALSE(median_in_bracket(nullptr, 0, -1.0, 1.0, scratch.data(), out));
+}
+
+TEST(MedianInBracket, SizesOneAndTwo) {
+  EXPECT_TRUE(check_bracket({7.0}, 7.0, 7.0));
+  EXPECT_FALSE(check_bracket({7.0}, 7.5, 8.0));
+  EXPECT_TRUE(check_bracket({2.0, -1.0}, -1.0, 2.0));
+  EXPECT_FALSE(check_bracket({2.0, -1.0}, -1.0, 1.9));
+  EXPECT_FALSE(check_bracket({2.0, -1.0}, -0.9, 2.0));
+}
+
+TEST(MedianInBracket, DuplicatesAndAllEqual) {
+  std::mt19937_64 rng(43);
+  std::uniform_int_distribution<int> pick(0, 4);
+  for (std::size_t n : {2u, 6u, 7u, 50u, 51u}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      std::vector<double> v(n);
+      for (auto& x : v) x = 0.5 * pick(rng);
+      const MedianOrder ref = reference_middle(v);
+      EXPECT_TRUE(check_bracket(v, ref.lower, ref.upper));
+      // Brackets whose edges sit on a duplicated value.
+      for (int e = 0; e <= 4; ++e) {
+        check_bracket(v, 0.5 * e, 2.0);
+        check_bracket(v, 0.0, 0.5 * e);
+      }
+    }
+  }
+  const std::vector<double> same(9, 1.25);
+  EXPECT_TRUE(check_bracket(same, 1.25, 1.25));
+  EXPECT_FALSE(check_bracket(same, 1.3, 2.0));
+  const std::vector<double> same_even(10, -0.5);
+  EXPECT_TRUE(check_bracket(same_even, -0.5, -0.5));
+  EXPECT_FALSE(check_bracket(same_even, -1.0, -0.6));
 }
 
 }  // namespace

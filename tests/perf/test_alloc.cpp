@@ -166,6 +166,37 @@ TEST(AllocationContract, WarmIrlsSolveIsAllocationFree) {
   EXPECT_TRUE(std::isfinite(out.x[0]));
 }
 
+TEST(AllocationContract, WarmMaskedIrlsSolveIsAllocationFree) {
+  // The consensus refit: IRLS over the rows a RANSAC inlier mask selects,
+  // compacted into the workspace, with bracketed medians from the second
+  // round on.
+  const auto p = line_problem(150, 0.2, 15);
+  linalg::IrlsOptions opt;
+  opt.loss = linalg::RobustLoss::kHuber;
+  std::vector<char> mask(p.a.rows(), 1);
+  std::size_t count = mask.size();
+  for (std::size_t i = 0; i < mask.size(); i += 5) {
+    mask[i] = 0;
+    --count;
+  }
+  linalg::SolverWorkspace ws;
+  ws.load(p.a, p.b);
+  linalg::LstsqResult out;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(linalg::solve_irls_masked(ws, mask.data(), count, opt, out),
+              linalg::SolveStatus::kOk);
+  }
+
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < 5; ++i) {
+      linalg::solve_irls_masked(ws, mask.data(), count, opt, out);
+    }
+  });
+  EXPECT_EQ(n, 0u) << "warmed masked IRLS touched the heap " << n << " times";
+  EXPECT_GT(out.iterations, 1u);
+  EXPECT_EQ(out.weights.size(), count);
+}
+
 TEST(AllocationContract, ReloadAcrossShapesStaysAllocationFreeOnceWarm) {
   // Alternating between two row counts after warming both: load() must
   // reuse capacity, not reallocate per shape switch.
