@@ -13,7 +13,9 @@
 // per row.
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "baseline/hologram.hpp"
@@ -21,6 +23,7 @@
 #include "core/lion.hpp"
 #include "linalg/lstsq.hpp"
 #include "linalg/small.hpp"
+#include "linalg/stats.hpp"
 #include "rf/phase_model.hpp"
 #include "rf/rng.hpp"
 #include "signal/unwrap.hpp"
@@ -163,6 +166,49 @@ int main(int argc, char** argv) {
       g_sink += out.solution.x[0];
     });
     report(reporter, "ransac_solve", "workspace", ops_ws);
+  }
+
+  {
+    // The two LMedS kernels on a batch_fleet-sized system: 8192 rows over
+    // four unknowns, about a tenth of them gross outliers.
+    constexpr std::size_t kRows = 8192;
+    rf::Rng rng(3);
+    linalg::Matrix a(kRows, 4);
+    std::vector<double> b(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < 4; ++c) a(i, c) = rng.uniform(-1.0, 1.0);
+      b[i] = a(i, 0) - 0.5 * a(i, 2) + rng.gaussian(0.01) +
+             (i % 10 == 0 ? rng.uniform(1.0, 3.0) : 0.0);
+    }
+    linalg::SolverWorkspace ws;
+    ws.load(a, b);
+    ws.median_scratch.resize(kRows);
+    const double x[4] = {1.0, 0.0, -0.5, 0.0};
+    // One winning candidate: the count-only prescreen (which it passes),
+    // its squared residuals, and their exact median.
+    const double ops_score = ops_per_sec([&] {
+      const auto sys = ws.system();
+      const double inf = std::numeric_limits<double>::infinity();
+      const std::size_t below =
+          linalg::count_squared_below(sys, x, inf, kRows / 2);
+      double* sq = ws.median_scratch.data();
+      linalg::squared_residuals(sys, x, sq);
+      g_sink += linalg::median_in_place(sq, sq + kRows) +
+                static_cast<double>(below);
+    });
+    report(reporter, "lmeds_score_8k", "workspace", ops_score,
+           static_cast<double>(kRows));
+    // The exact median alone, from a fresh copy of the squared residuals.
+    std::vector<double> squares(kRows);
+    linalg::squared_residuals(ws.system(), x, squares.data());
+    std::vector<double> work(kRows);
+    const double ops_median = ops_per_sec([&] {
+      std::copy(squares.begin(), squares.end(), work.begin());
+      g_sink += linalg::median_order_in_place(work.data(),
+                                              work.data() + kRows).median;
+    });
+    report(reporter, "median_select_8k", "-", ops_median,
+           static_cast<double>(kRows));
   }
 
   for (std::size_t n : {std::size_t{256}, std::size_t{1024},

@@ -357,13 +357,9 @@ LocalizationResult IncrementalCalibrationSolver::warm_candidate(
   std::size_t count = 0;
   bool stable = false;
   for (std::size_t sweep = 0; sweep < config_.max_fixpoint_sweeps; ++sweep) {
+    linalg::residuals(ws_.system(), x, residuals_.data());
     for (std::size_t i = 0; i < n; ++i) {
-      const double* row = ws_.row(i);
-      double s = 0.0;
-      for (std::size_t c = 0; c < p; ++c) s += row[c] * x[c];
-      const double r = s - ws_.rhs(i);
-      residuals_[i] = r;
-      scratch_[i] = r * r;
+      scratch_[i] = residuals_[i] * residuals_[i];
     }
     const double med =
         linalg::median_in_place(scratch_.data(), scratch_.data() + n);
@@ -493,17 +489,20 @@ LocalizationResult IncrementalCalibrationSolver::warm_candidate(
   // anything, and bounds accumulated cancellation.
   normals_.reset(p);
   {
+    double row[linalg::kSmallMaxCols];
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!mask_[i]) continue;
-      normals_.append_weighted(ws_.row(i), ws_.rhs(i), sol.weights[k]);
+      ws_.gather_row(i, row);
+      normals_.append_weighted(row, ws_.rhs(i), sol.weights[k]);
       ++k;
     }
     k = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!mask_[i]) continue;
       if (w_check[k] != sol.weights[k]) {
-        normals_.reweight(ws_.row(i), ws_.rhs(i), sol.weights[k], w_check[k]);
+        ws_.gather_row(i, row);
+        normals_.reweight(row, ws_.rhs(i), sol.weights[k], w_check[k]);
       }
       ++k;
     }

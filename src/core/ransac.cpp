@@ -168,51 +168,11 @@ void full_row_fallback_ws(linalg::SolverWorkspace& ws,
   ransac_full_row_fallback(ws, options, iterations, out);
 }
 
-// One fused pass over the full system for a candidate x: residuals into
-// `residuals`, squared residuals into `scratch` (the future median input),
-// and a count of squared residuals strictly below `best`. The pass stops
-// early once fewer than `need` rows could still end up below `best` —
-// the candidate is then a proven loser (see the prescreen below) and its
-// partial buffers are never read. Templated on the column count so the
-// dot product fully unrolls; the accumulation order is the rolled loop's,
-// so residual values are unchanged.
-template <std::size_t P>
-std::size_t candidate_pass(const linalg::SolverWorkspace& ws, const double* x,
-                           double best, std::size_t need, double* residuals,
-                           double* scratch) {
-  constexpr std::size_t kBlock = 256;
-  const std::size_t n = ws.rows();
-  std::size_t below = 0;
-  for (std::size_t start = 0; start < n; start += kBlock) {
-    const std::size_t end = std::min(n, start + kBlock);
-    for (std::size_t i = start; i < end; ++i) {
-      const double* row = ws.row(i);
-      double s = 0.0;
-      for (std::size_t c = 0; c < P; ++c) s += row[c] * x[c];
-      const double r = s - ws.rhs(i);
-      residuals[i] = r;
-      const double sq = r * r;
-      scratch[i] = sq;
-      below += sq < best ? 1 : 0;
-    }
-    if (below + (n - end) < need) break;
-  }
-  return below;
-}
-
-std::size_t candidate_pass(const linalg::SolverWorkspace& ws, const double* x,
-                           double best, std::size_t need, double* residuals,
-                           double* scratch) {
-  switch (ws.cols()) {
-    case 1:
-      return candidate_pass<1>(ws, x, best, need, residuals, scratch);
-    case 2:
-      return candidate_pass<2>(ws, x, best, need, residuals, scratch);
-    case 3:
-      return candidate_pass<3>(ws, x, best, need, residuals, scratch);
-    default:
-      return candidate_pass<4>(ws, x, best, need, residuals, scratch);
-  }
+// LMedS score of candidate x: the exact median of its squared residuals.
+double lmeds_score(linalg::SolverWorkspace& ws, const double* x) {
+  double* sq = ws.median_scratch.data();
+  linalg::squared_residuals(ws.system(), x, sq);
+  return linalg::median_in_place(sq, sq + ws.rows());
 }
 
 void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
@@ -229,14 +189,14 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
 
   rf::Rng rng(options.seed);
   const std::size_t m = p + 1;
+  const linalg::ColumnSystem sys = ws.system();
 
   ws.indices.resize(n);
   for (std::size_t i = 0; i < n; ++i) ws.indices[i] = i;
-  ws.residuals.resize(n);
-  ws.best_residuals.resize(n);
   ws.median_scratch.resize(n);
 
   double best_score = std::numeric_limits<double>::infinity();
+  double best_x[linalg::kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
   bool have_best = false;
   std::size_t evaluated = 0;
   double x[linalg::kSmallMaxCols];
@@ -244,7 +204,7 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
   // Warm start: seed the best-so-far candidate with the OLS fit over the
   // caller's prior inlier set (the previous window's consensus, mapped to
   // this system's rows). With a still-valid prior, the median prescreen
-  // below rejects most random candidates after one comparison pass; with a
+  // below rejects most random candidates after one counting pass; with a
   // stale prior the seed simply loses the sampling tournament. Either way
   // the loop below is untouched, so a cold call (warm_mask == nullptr)
   // stays bit-identical to the classic path.
@@ -260,13 +220,10 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       linalg::SmallCholesky chol;
       if (small_cholesky_factor(g, chol)) {
         small_cholesky_solve(chol, rhs, x);
-        candidate_pass(ws, x, best_score, 0, ws.residuals.data(),
-                       ws.median_scratch.data());
-        const double score = linalg::median_in_place(
-            ws.median_scratch.data(), ws.median_scratch.data() + n);
+        const double score = lmeds_score(ws, x);
         if (std::isfinite(score)) {
           best_score = score;
-          std::swap(ws.residuals, ws.best_residuals);
+          std::copy(x, x + p, best_x);
           have_best = true;
           LION_OBS_COUNT("ransac.warm_seeds", 1);
         }
@@ -274,14 +231,16 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
     }
   }
 
-  // Median prescreen threshold: with mid = n/2, median_in_place returns
+  // Count-only median prescreen: with mid = n/2, median_in_place returns
   // v[mid] for odd n and 0.5 * (v[mid-1] + v[mid]) for even n. A candidate
   // can only *strictly* beat best_score if at least mid+1 (odd) / mid
   // (even) squared residuals are below it: otherwise v[mid] (and for even
   // n also v[mid-1]) is >= best, and the monotone FP add/halve keeps the
-  // even-n average >= best too. Counting is one compare per row, so losing
-  // candidates skip the nth_element median entirely — and losing is the
-  // common case once an early good subset sets the bar.
+  // even-n average >= best too. The prescreen counts that over the columns
+  // and stores nothing, stopping as soon as the rows left cannot reach the
+  // bound; only a candidate that passes computes its squared residuals and
+  // takes the exact median. Losing is the common case once an early good
+  // subset sets the bar.
   const std::size_t median_need = n / 2 + (n % 2 == 1 ? 1 : 0);
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
@@ -291,7 +250,7 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       std::swap(ws.indices[i], ws.indices[j]);
     }
     LION_OBS_COUNT("ransac.iterations", 1);
-    // Minimal-subset solve straight from the cached row products.
+    // Minimal-subset solve from rows gathered out of the cached columns.
     linalg::SmallGram g;
     g.reset(p);
     double rhs[linalg::kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
@@ -306,8 +265,7 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       double qa[linalg::kSmallMaxMinimalRows][linalg::kSmallMaxCols];
       double qb[linalg::kSmallMaxMinimalRows];
       for (std::size_t i = 0; i < m; ++i) {
-        const double* row = ws.row(ws.indices[i]);
-        for (std::size_t c = 0; c < p; ++c) qa[i][c] = row[c];
+        ws.gather_row(ws.indices[i], qa[i]);
         qb[i] = ws.rhs(ws.indices[i]);
       }
       st = linalg::small_qr_solve(qa, qb, m, p, x);
@@ -317,15 +275,14 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       continue;
     }
     ++evaluated;
-    const std::size_t below =
-        candidate_pass(ws, x, best_score, median_need, ws.residuals.data(),
-                       ws.median_scratch.data());
-    if (below < median_need) continue;  // median provably >= best_score
-    const double score = linalg::median_in_place(
-        ws.median_scratch.data(), ws.median_scratch.data() + n);
+    if (linalg::count_squared_below(sys, x, best_score, median_need) <
+        median_need) {
+      continue;  // median provably >= best_score
+    }
+    const double score = lmeds_score(ws, x);
     if (score < best_score) {
       best_score = score;
-      std::swap(ws.residuals, ws.best_residuals);
+      std::copy(x, x + p, best_x);
       have_best = true;
     }
   }
@@ -341,13 +298,16 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
                                ? options.inlier_threshold
                                : std::max(2.5 * sigma, 1e-12);
 
-  out.inlier_mask.assign(n, 0);
+  // The winner's residuals, recomputed with the same operations its
+  // scoring pass performed.
+  ws.residuals.resize(n);
+  linalg::residuals(sys, best_x, ws.residuals.data());
+  out.inlier_mask.resize(n);
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (std::abs(ws.best_residuals[i]) <= threshold) {
-      out.inlier_mask[i] = 1;
-      ++count;
-    }
+    const bool inlier = std::abs(ws.residuals[i]) <= threshold;
+    out.inlier_mask[i] = inlier;
+    count += inlier;
   }
   if (count < p + 1 ||
       static_cast<double>(count) <

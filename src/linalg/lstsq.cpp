@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "linalg/decompositions.hpp"
+#include "linalg/lanes.hpp"
 #include "linalg/small.hpp"
 #include "linalg/stats.hpp"
 #include "obs/obs.hpp"
@@ -238,47 +239,87 @@ LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
   return current;
 }
 
+namespace {
+
+// w_i = lane(res_i), two residuals per step; an odd last residual runs in
+// both lanes of one step. GCC 12 keeps the selects below as branches in a
+// scalar loop and so does not vectorize it; spelled out as lanes, they
+// are blends.
+template <typename Lane>
+void map_pairs(const double* res, std::size_t n, double* w, Lane lane) {
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) store2(w + i, lane(load2(res + i)));
+  if (i < n) w[i] = lane(splat2(res[i]))[0];
+}
+
+}  // namespace
+
+void map_residual_weights(const ResidualWeightFn& fn, const double* res,
+                          std::size_t n, double* w) {
+  const double center = fn.center;
+  const double sigma = fn.sigma;
+  const double c = fn.c;
+  switch (fn.loss) {
+    case RobustLoss::kGaussian:
+      // A vector exp would round differently; libm's stays scalar.
+      for (std::size_t i = 0; i < n; ++i) {
+        const double z = (res[i] - center) / sigma;
+        w[i] = std::exp(-0.5 * z * z);
+      }
+      return;
+    case RobustLoss::kHuber:
+      // Both arms are computed; the unused c / z (infinite at z == 0) is
+      // discarded by the select.
+      map_pairs(res, n, w, [&](Lanes2 r) {
+        const Lanes2 z = abs2(r - splat2(center)) / splat2(sigma);
+        const Lanes2 down = splat2(c) / z;
+        return z <= splat2(c) ? splat2(1.0) : down;
+      });
+      return;
+    case RobustLoss::kTukey:
+      map_pairs(res, n, w, [&](Lanes2 r) {
+        const Lanes2 u =
+            abs2(r - splat2(center)) / splat2(sigma) / splat2(c);
+        const Lanes2 t = splat2(1.0) - u * u;
+        return u < splat2(1.0) ? t * t : splat2(0.0);
+      });
+      return;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Workspace path: the same IRLS, operation for operation, over the rows a
 // mask selects from the system cached in a SolverWorkspace. The selected
-// rows are compacted once; each reweighting round is then one fused pass
-// (robust weights + weighted normal equations), a small solve, and one
-// fused pass (residuals, their sum and sum of squares, and the largest
-// residual move D that brackets the next round's medians). Steady state
-// (warm workspace, reused result) performs no heap allocation; only the
-// rare Cholesky-reject -> QR fallback materializes the subsystem.
+// columns are compacted once; each reweighting round is then the
+// bracketed medians, a lane-parallel weight map, the weighted normal
+// equations (one lane per gram entry), a small solve, and a residual
+// update (lane-parallel residuals and their largest move D). The
+// row-order residual sums are formed only where they are read. Steady
+// state (warm workspace, reused result) performs no heap allocation; only
+// the rare Cholesky-reject -> QR fallback materializes the subsystem.
 // --------------------------------------------------------------------------
 
 namespace {
 
-// Compact row-major view of the rows an IRLS solve runs over.
-struct CompactRows {
-  const double* a = nullptr;  // n x p, row-major
-  const double* b = nullptr;  // n
-  std::size_t n = 0;
-  std::size_t p = 0;
-};
-
-// Solve the normal equations (g, rhs) of `rows` — weighted by `weights`
+// Solve the normal equations (g, rhs) of `sys` — weighted by `weights`
 // when given — mirroring solve_normal_or_qr on the materialized system:
 // Cholesky first, then QR on the (row-scaled, for WLS) design, with the
 // rank-deficiency throw turned into a status via the same
 // |R_ii| < kSingularTol cutoff.
-SolveStatus solve_normals(const CompactRows& rows, SmallGram& g,
+SolveStatus solve_normals(const ColumnSystem& sys, SmallGram& g,
                           const double* rhs, const double* weights,
                           double* x) {
-  const std::size_t p = rows.p;
+  const std::size_t p = sys.p;
   g.mirror();
   SmallCholesky chol;
   if (small_cholesky_factor(g, chol)) {
     small_cholesky_solve(chol, rhs, x);
     return SolveStatus::kOk;
   }
-  Matrix design(rows.n, p);
-  std::vector<double> target(rows.b, rows.b + rows.n);
-  for (std::size_t r = 0; r < rows.n; ++r) {
-    const double* row = rows.a + r * p;
-    for (std::size_t c = 0; c < p; ++c) design(r, c) = row[c];
+  Matrix design(sys.n, p);
+  std::vector<double> target(sys.b, sys.b + sys.n);
+  for (std::size_t r = 0; r < sys.n; ++r) {
+    for (std::size_t c = 0; c < p; ++c) design(r, c) = sys.col(c)[r];
     if (weights) {
       const double s = std::sqrt(std::max(0.0, weights[r]));
       for (std::size_t c = 0; c < p; ++c) design(r, c) *= s;
@@ -294,116 +335,20 @@ SolveStatus solve_normals(const CompactRows& rows, SmallGram& g,
   return SolveStatus::kOk;
 }
 
-// Per-round robust weight function: the body of robust_residual_weights /
-// gaussian_residual_weights for one residual, with the round's centre and
-// scale already computed.
-struct WeightFn {
-  RobustLoss loss;
-  double center;  // median (Huber/Tukey) or mean (Gaussian)
-  double sigma;
-  double c;       // tuning constant (Huber/Tukey)
-
-  double operator()(double r) const {
-    if (loss == RobustLoss::kGaussian) {
-      const double z = (r - center) / sigma;
-      return std::exp(-0.5 * z * z);
-    }
-    const double z = std::abs(r - center) / sigma;
-    if (loss == RobustLoss::kHuber) return z <= c ? 1.0 : c / z;
-    const double u = z / c;  // Tukey biweight
-    return u < 1.0 ? (1.0 - u * u) * (1.0 - u * u) : 0.0;
-  }
-};
-
-// One pass: w_i = fn(res_i) into `w`, the weighted normal equations into
-// (g, rhs) in the legacy multiplication order ((w * a_i) * a_j and
-// a_c * (w * b), Matrix::weighted_gram / weighted_transpose_multiply),
-// and the weight mass summed in row order. The legacy `w == 0` /
-// `w * a_i == 0` skips only ever skip (+/-)0.0 contributions, which leave
-// an accumulator that starts at +0.0 unchanged for finite rows, so the
-// straight-line form is bit-identical. Writes every entry of the upper
-// triangle of `g` and of `rhs`.
-template <std::size_t P>
-double reweight_pass(const CompactRows& rows, const double* res,
-                     const WeightFn& fn, double* w, SmallGram& g,
-                     double* rhs) {
-  double acc[P][P] = {};
-  double acc_rhs[P] = {};
-  double total = 0.0;
-  for (std::size_t r = 0; r < rows.n; ++r) {
-    const double* row = rows.a + r * P;
-    const double wr = fn(res[r]);
-    w[r] = wr;
-    total += wr;
-    const double wv = wr * rows.b[r];
-    double wrow[P];
-    for (std::size_t i = 0; i < P; ++i) wrow[i] = wr * row[i];
-    for (std::size_t i = 0; i < P; ++i) {
-      for (std::size_t j = i; j < P; ++j) acc[i][j] += wrow[i] * row[j];
-    }
-    for (std::size_t c = 0; c < P; ++c) acc_rhs[c] += row[c] * wv;
-  }
-  for (std::size_t i = 0; i < P; ++i) {
-    for (std::size_t j = i; j < P; ++j) g.g[i][j] = acc[i][j];
-    rhs[i] = acc_rhs[i];
-  }
-  return total;
-}
-
-double reweight_pass(const CompactRows& rows, const double* res,
-                     const WeightFn& fn, double* w, SmallGram& g,
-                     double* rhs) {
-  switch (rows.p) {
-    case 1:
-      return reweight_pass<1>(rows, res, fn, w, g, rhs);
-    case 2:
-      return reweight_pass<2>(rows, res, fn, w, g, rhs);
-    case 3:
-      return reweight_pass<3>(rows, res, fn, w, g, rhs);
-    default:
-      return reweight_pass<4>(rows, res, fn, w, g, rhs);
-  }
-}
-
-// Sums of one residual pass, in row order (the order of mean() and of
-// finalize()'s sum of squares), plus the sup-norm move of the residuals.
+// Sum and sum of squares of the residuals, in row order (the order of
+// mean() and of finalize()'s sum of squares).
 struct ResidualSums {
   double sum = 0.0;
   double squares = 0.0;
-  double move = 0.0;  // D = max_i |r_i - r_i_prev|
 };
 
-// One pass: res_i = a_i . x - b_i (overwriting the previous residuals),
-// with their sum, sum of squares and largest move.
-template <std::size_t P>
-ResidualSums residual_pass(const CompactRows& rows, const double* x,
-                           double* res) {
+ResidualSums residual_sums(const double* res, std::size_t n) {
   ResidualSums out;
-  for (std::size_t r = 0; r < rows.n; ++r) {
-    const double* row = rows.a + r * P;
-    double s = 0.0;
-    for (std::size_t c = 0; c < P; ++c) s += row[c] * x[c];
-    const double v = s - rows.b[r];
-    out.move = std::max(out.move, std::abs(v - res[r]));
-    res[r] = v;
-    out.sum += v;
-    out.squares += v * v;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.sum += res[i];
+    out.squares += res[i] * res[i];
   }
   return out;
-}
-
-ResidualSums residual_pass(const CompactRows& rows, const double* x,
-                           double* res) {
-  switch (rows.p) {
-    case 1:
-      return residual_pass<1>(rows, x, res);
-    case 2:
-      return residual_pass<2>(rows, x, res);
-    case 3:
-      return residual_pass<3>(rows, x, res);
-    default:
-      return residual_pass<4>(rows, x, res);
-  }
 }
 
 // Median of `values` (n of them), from the previous round's middle order
@@ -430,66 +375,76 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
   const std::size_t p = ws.cols();
   if (count < p) return SolveStatus::kUnderdetermined;
 
-  // Compact the selected rows once (an unmasked solve reads the cache).
-  CompactRows rows{ws.row(0), ws.rhs_data(), count, p};
+  // Compact the selected columns once (an unmasked solve reads the cache).
+  ColumnSystem sys = ws.system();
   if (mask) {
-    ws.irls_rows.resize(count * p);
+    ws.irls_cols.resize(count * p);
     ws.irls_rhs.resize(count);
-    std::size_t sel = 0;
-    for (std::size_t r = 0; r < ws.rows(); ++r) {
-      if (!mask[r]) continue;
-      std::copy(ws.row(r), ws.row(r) + p, ws.irls_rows.data() + sel * p);
-      ws.irls_rhs[sel++] = ws.rhs(r);
+    for (std::size_t c = 0; c <= p; ++c) {
+      const double* src = c < p ? sys.col(c) : sys.b;
+      double* dst = c < p ? ws.irls_cols.data() + c * count
+                          : ws.irls_rhs.data();
+      std::size_t sel = 0;
+      for (std::size_t r = 0; r < sys.n; ++r) {
+        if (mask[r]) dst[sel++] = src[r];
+      }
     }
-    rows.a = ws.irls_rows.data();
-    rows.b = ws.irls_rhs.data();
+    sys = {ws.irls_cols.data(), ws.irls_rhs.data(), count, p};
   }
 
   // OLS seed (the classic path's solve_least_squares).
+  out.weights.assign(count, 1.0);
   double x[kSmallMaxCols];
   double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
   SmallGram g;
   g.reset(p);
-  accumulate_masked(ws, mask, g, rhs);
-  SolveStatus st = solve_normals(rows, g, rhs, nullptr, x);
+  accumulate_weighted(sys, nullptr, g, rhs);
+  SolveStatus st = solve_normals(sys, g, rhs, nullptr, x);
   if (st != SolveStatus::kOk) return st;
 
   const double n = static_cast<double>(count);
   out.x.assign(x, x + p);
   out.residuals.assign(count, 0.0);
-  ResidualSums sums = residual_pass(rows, x, out.residuals.data());
-  out.mean_residual = sums.sum / n;
-  out.rms_residual = std::sqrt(sums.squares / n);
-  out.iterations = 0;
-  if (options.max_iterations == 0) {
-    out.weights.assign(count, 1.0);
-    out.converged = false;  // the classic loop's "cap hit" outcome
+  double* res = out.residuals.data();
+  // The mean and rms of the residuals are diagnostics of the final round,
+  // except that the Gaussian weights centre on the mean each round.
+  const auto finish = [&](bool converged) {
+    const ResidualSums sums = residual_sums(res, count);
+    out.mean_residual = sums.sum / n;
+    out.rms_residual = std::sqrt(sums.squares / n);
+    out.converged = converged;
     note_irls_outcome(out);
     return SolveStatus::kOk;
+  };
+  // D, the largest residual move of the last update; it brackets the
+  // next round's medians.
+  double move = update_residuals(sys, x, res);
+  out.iterations = 0;
+  if (options.max_iterations == 0) {
+    return finish(false);  // the classic loop's "cap hit" outcome
   }
 
-  out.weights.resize(count);
   ws.median_scratch.resize(count);
   ws.abs_dev.resize(count);
-  double* res = out.residuals.data();
+  double* w = out.weights.data();
   const double c = options.tuning > 0.0
                        ? options.tuning
                        : (options.loss == RobustLoss::kHuber ? 1.345 : 4.685);
   MedianOrder med;
   MedianOrder mad;
-  bool converged = false;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    WeightFn fn{options.loss, 0.0, 0.0, c};
+    ResidualWeightFn fn{options.loss, 0.0, 0.0, c};
     if (options.loss == RobustLoss::kGaussian) {
       // gaussian_residual_weights: mean and population stddev.
+      const double mu = residual_sums(res, count).sum / n;
       double var = 0.0;
       if (count >= 2) {
         for (std::size_t i = 0; i < count; ++i) {
-          var += (res[i] - out.mean_residual) * (res[i] - out.mean_residual);
+          var += (res[i] - mu) * (res[i] - mu);
         }
         var /= n;
       }
-      fn.center = out.mean_residual;
+      fn.center = mu;
       fn.sigma = std::max(std::sqrt(var), options.min_sigma);
     } else {
       // robust_residual_weights: median centre, MAD scale. From the second
@@ -499,36 +454,36 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
       // by at most D + |delta med| (widened once more by D as slack).
       const bool warm = iter > 0;
       const MedianOrder prev_med = med;
-      med = bracketed_median(res, count, warm ? &prev_med : nullptr,
-                             sums.move, ws.median_scratch.data());
+      med = bracketed_median(res, count, warm ? &prev_med : nullptr, move,
+                             ws.median_scratch.data());
+      double* dev = ws.abs_dev.data();
       for (std::size_t i = 0; i < count; ++i) {
-        ws.abs_dev[i] = std::abs(res[i] - med.median);
+        dev[i] = std::abs(res[i] - med.median);
       }
       const double mad_widen =
-          2.0 * sums.move + std::abs(med.median - prev_med.median);
-      mad = bracketed_median(ws.abs_dev.data(), count, warm ? &mad : nullptr,
-                             mad_widen, ws.median_scratch.data());
+          2.0 * move + std::abs(med.median - prev_med.median);
+      mad = bracketed_median(dev, count, warm ? &mad : nullptr, mad_widen,
+                             ws.median_scratch.data());
       fn.center = med.median;
       fn.sigma = std::max(1.4826 * mad.median, options.min_sigma);
     }
 
-    const double total =
-        reweight_pass(rows, res, fn, out.weights.data(), g, rhs);
+    map_residual_weights(fn, res, count, w);
+    const double total = accumulate_weighted(sys, w, g, rhs);
     // Feasibility gate of robust_residual_weights: a Tukey round that
     // rejected essentially every row is redone with Huber weights. (For
     // Huber the refill would reproduce the same weights.)
     if (options.loss == RobustLoss::kTukey &&
         total <= kMinMeanRobustWeight * n) {
       fn.loss = RobustLoss::kHuber;
-      reweight_pass(rows, res, fn, out.weights.data(), g, rhs);
+      map_residual_weights(fn, res, count, w);
+      accumulate_weighted(sys, w, g, rhs);
     }
     double next[kSmallMaxCols];
-    st = solve_normals(rows, g, rhs, out.weights.data(), next);
+    st = solve_normals(sys, g, rhs, w, next);
     if (st != SolveStatus::kOk) return st;
 
-    sums = residual_pass(rows, next, res);
-    out.mean_residual = sums.sum / n;
-    out.rms_residual = std::sqrt(sums.squares / n);
+    move = update_residuals(sys, next, res);
     double delta = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
       delta = std::max(delta, std::abs(next[i] - x[i]));
@@ -536,14 +491,9 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
     }
     std::copy(x, x + p, out.x.begin());
     out.iterations = iter + 1;
-    if (delta < options.tolerance) {
-      converged = true;
-      break;
-    }
+    if (delta < options.tolerance) return finish(true);
   }
-  out.converged = converged;
-  note_irls_outcome(out);
-  return SolveStatus::kOk;
+  return finish(false);
 }
 
 void solve_irls(const Matrix& a, const std::vector<double>& b,

@@ -121,6 +121,23 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
                               std::size_t count, const IrlsOptions& options,
                               LstsqResult& out);
 
+/// One IRLS round's weight function: the per-residual body of
+/// robust_residual_weights / gaussian_residual_weights, with the round's
+/// centre and scale already computed.
+struct ResidualWeightFn {
+  RobustLoss loss = RobustLoss::kGaussian;
+  double center = 0.0;  ///< median (Huber/Tukey) or mean (Gaussian)
+  double sigma = 1.0;   ///< robust sigma (Huber/Tukey) or stddev (Gaussian)
+  double c = 0.0;       ///< tuning constant (Huber/Tukey)
+};
+
+/// w_i = fn(res_i) for i in [0, n), one SIMD lane per residual (the
+/// Gaussian exp stays a scalar libm call). Bit-identical with the weights
+/// robust_residual_weights / gaussian_residual_weights compute from the
+/// same centre and scale; the Tukey all-rejected gate is the caller's.
+void map_residual_weights(const ResidualWeightFn& fn, const double* res,
+                          std::size_t n, double* w);
+
 /// The paper's Eq. (15) weight vector for a given residual vector.
 std::vector<double> gaussian_residual_weights(
     const std::vector<double>& residuals, double min_sigma = 1e-12);

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "linalg/decompositions.hpp"
+#include "linalg/lanes.hpp"
 
 namespace lion::linalg {
 
@@ -108,10 +109,11 @@ void SolverWorkspace::load(const Matrix& a, const std::vector<double>& b) {
   }
   n_ = n;
   p_ = p;
-  rows_.resize(n * p);
+  cols_.resize(n * p);
   b_.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    std::copy(a.row_data(r), a.row_data(r) + p, rows_.data() + r * p);
+    const double* row = a.row_data(r);
+    for (std::size_t c = 0; c < p; ++c) cols_[c * n + r] = row[c];
   }
   std::copy(b.begin(), b.end(), b_.begin());
 }
@@ -123,7 +125,7 @@ Matrix SolverWorkspace::gram_matrix() const {
   SmallGram g;
   g.reset(p_);
   double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
-  accumulate_masked(*this, nullptr, g, rhs);
+  accumulate_weighted(system(), nullptr, g, rhs);
   g.mirror();
   Matrix out(p_, p_);
   for (std::size_t i = 0; i < p_; ++i) {
@@ -139,9 +141,9 @@ Matrix SolverWorkspace::gram_matrix() const {
 // inputs adding a (+/-)0.0 product never changes an accumulator that
 // started at +0.0 (and can never round to -0.0), so the sums are
 // bit-identical. The sums are held in locals (seeded from, and written
-// back to, g and rhs) so the add chains stay in registers. Weighted grams
-// keep their own (w * a_i) * a_j association in the IRLS reweighting pass
-// (lstsq.cpp).
+// back to, g and rhs) so the add chains stay in registers. Each row is
+// gathered from the columns first; these grams touch a handful of rows
+// (minimal subsets) or run once per solve.
 
 namespace {
 
@@ -156,7 +158,10 @@ struct NormalSums {
       rhs[i] = from_rhs[i];
     }
   }
-  void add(const double* row, double b) {
+  void add(const SolverWorkspace& ws, std::size_t r) {
+    double row[P];
+    ws.gather_row(r, row);
+    const double b = ws.rhs(r);
     for (std::size_t i = 0; i < P; ++i) {
       const double ri = row[i];
       for (std::size_t j = i; j < P; ++j) g[i][j] += ri * row[j];
@@ -175,7 +180,7 @@ template <std::size_t P>
 void accumulate_rows_impl(const SolverWorkspace& ws, const std::size_t* rows,
                           std::size_t m, SmallGram& g, double* rhs) {
   NormalSums<P> sums(g, rhs);
-  for (std::size_t r = 0; r < m; ++r) sums.add(ws.row(rows[r]), ws.rhs(rows[r]));
+  for (std::size_t r = 0; r < m; ++r) sums.add(ws, rows[r]);
   sums.store(g, rhs);
 }
 
@@ -184,40 +189,297 @@ void accumulate_masked_impl(const SolverWorkspace& ws, const char* mask,
                             SmallGram& g, double* rhs) {
   NormalSums<P> sums(g, rhs);
   for (std::size_t r = 0; r < ws.rows(); ++r) {
-    if (mask && !mask[r]) continue;
-    sums.add(ws.row(r), ws.rhs(r));
+    if (!mask[r]) continue;
+    sums.add(ws, r);
   }
   sums.store(g, rhs);
+}
+
+// Calls fn.template operator()<P>() for the system width p in [1, 4].
+template <typename Fn>
+decltype(auto) with_cols(std::size_t p, Fn&& fn) {
+  switch (p) {
+    case 1:
+      return fn.template operator()<1>();
+    case 2:
+      return fn.template operator()<2>();
+    case 3:
+      return fn.template operator()<3>();
+    default:
+      return fn.template operator()<4>();
+  }
 }
 
 }  // namespace
 
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs) {
-  switch (ws.cols()) {
-    case 1:
-      return accumulate_rows_impl<1>(ws, rows, m, g, rhs);
-    case 2:
-      return accumulate_rows_impl<2>(ws, rows, m, g, rhs);
-    case 3:
-      return accumulate_rows_impl<3>(ws, rows, m, g, rhs);
-    default:
-      return accumulate_rows_impl<4>(ws, rows, m, g, rhs);
-  }
+  with_cols(ws.cols(), [&]<std::size_t P>() {
+    accumulate_rows_impl<P>(ws, rows, m, g, rhs);
+  });
 }
 
 void accumulate_masked(const SolverWorkspace& ws, const char* mask,
                        SmallGram& g, double* rhs) {
-  switch (ws.cols()) {
-    case 1:
-      return accumulate_masked_impl<1>(ws, mask, g, rhs);
-    case 2:
-      return accumulate_masked_impl<2>(ws, mask, g, rhs);
-    case 3:
-      return accumulate_masked_impl<3>(ws, mask, g, rhs);
-    default:
-      return accumulate_masked_impl<4>(ws, mask, g, rhs);
+  with_cols(ws.cols(), [&]<std::size_t P>() {
+    accumulate_masked_impl<P>(ws, mask, g, rhs);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Row-parallel kernels (one lane per row) and the weighted gram (one lane
+// per gram entry). Plain loops over contiguous columns vectorize at the
+// default ISA; where GCC does not vectorize a loop (counts, the lane max,
+// the weighted gram) it is spelled out with the vector-extension types of
+// lanes.hpp. Lane-wise IEEE operations round exactly like their scalar
+// counterparts, so every value is the one the scalar loop forms.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Column pointers and solution of a P-wide system, hoisted out of the row
+// loops so the compiler sees no aliasing with the output.
+template <std::size_t P>
+struct Dot {
+  const double* col[P];
+  double x[P];
+
+  Dot(const ColumnSystem& sys, const double* xs, std::size_t first = 0) {
+    for (std::size_t c = 0; c < P; ++c) {
+      col[c] = sys.col(c) + first;
+      x[c] = xs[c];
+    }
   }
+  // a_i . x in Matrix::multiply's order, seeded with +0.0.
+  double at(std::size_t i) const {
+    double s = 0.0;
+    for (std::size_t c = 0; c < P; ++c) s += col[c][i] * x[c];
+    return s;
+  }
+  // Rows i and i + 1, one per lane.
+  Lanes2 at2(std::size_t i) const {
+    Lanes2 s{};
+    for (std::size_t c = 0; c < P; ++c) {
+      s += load2(col[c] + i) * splat2(x[c]);
+    }
+    return s;
+  }
+};
+
+template <std::size_t P>
+void residuals_impl(const ColumnSystem& sys, const double* x,
+                    double* __restrict out) {
+  const Dot<P> dot(sys, x);
+  const double* b = sys.b;
+  for (std::size_t i = 0; i < sys.n; ++i) out[i] = dot.at(i) - b[i];
+}
+
+template <std::size_t P>
+double update_residuals_impl(const ColumnSystem& sys, const double* x,
+                             double* __restrict res) {
+  const Dot<P> dot(sys, x);
+  const double* b = sys.b;
+  const std::size_t n = sys.n;
+  // A lane keeps its running max unless d is larger (a NaN d is skipped,
+  // as std::max(move, d) skips it), and a max of non-negative values is
+  // the same in any order.
+  Lanes2 move{};
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const Lanes2 r = dot.at2(i) - load2(b + i);
+    const Lanes2 d = abs2(r - load2(res + i));
+    move = d > move ? d : move;
+    store2(res + i, r);
+  }
+  double out = std::max(move[0], move[1]);
+  if (i < n) {
+    const double r = dot.at(i) - b[i];
+    out = std::max(out, std::abs(r - res[i]));
+    res[i] = r;
+  }
+  return out;
+}
+
+template <std::size_t P>
+void squared_residuals_impl(const ColumnSystem& sys, const double* x,
+                            double* __restrict out) {
+  const Dot<P> dot(sys, x);
+  const double* b = sys.b;
+  for (std::size_t i = 0; i < sys.n; ++i) {
+    const double r = dot.at(i) - b[i];
+    out[i] = r * r;
+  }
+}
+
+template <std::size_t P>
+std::size_t count_squared_below_impl(const ColumnSystem& sys,
+                                     const double* x, double bound,
+                                     std::size_t need) {
+  const std::size_t n = sys.n;
+  std::size_t below = 0;
+  for (std::size_t start = 0; start < n; start += kPrescreenBlock) {
+    const std::size_t len = std::min(n - start, kPrescreenBlock);
+    const Dot<P> dot(sys, x, start);
+    const double* b = sys.b + start;
+    // Two rows per step; a lane's compare is all-ones (-1) when true.
+    Counts2 block{};
+    std::size_t i = 0;
+    for (; i + 2 <= len; i += 2) {
+      const Lanes2 r = dot.at2(i) - load2(b + i);
+      block -= r * r < splat2(bound);
+    }
+    below += static_cast<std::size_t>(block[0] + block[1]);
+    if (i < len) {
+      const double r = dot.at(i) - b[i];
+      below += r * r < bound;
+    }
+    if (below + (n - start - len) < need) break;
+  }
+  return below;
+}
+
+// Lane layouts of the weighted gram, per width. Each accumulator lane is
+// one gram or rhs entry; per row it adds (w * a_i) * a_j or a_c * (w * b),
+// and the weight mass adds w (as w * 1.0, exact, where it shares a
+// vector). Comments name the entries of the two lanes. The legacy
+// `w == 0` / `w * a_i == 0` skips of Matrix::weighted_gram only ever skip
+// (+/-)0.0 contributions, which leave an accumulator that starts at +0.0
+// unchanged for finite rows, so the straight-line form is bit-identical.
+template <std::size_t P, bool kUnit>
+double accumulate_weighted_impl(const ColumnSystem& sys, const double* w,
+                                SmallGram& g, double* rhs) {
+  const double* b = sys.b;
+  const std::size_t n = sys.n;
+  const double* c0 = sys.col(0);
+  if constexpr (P == 1) {
+    double g00 = 0.0, r0 = 0.0, mass = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double wr = kUnit ? 1.0 : w[r];
+      const double a0 = c0[r];
+      g00 += (wr * a0) * a0;
+      r0 += a0 * (wr * b[r]);
+      mass += wr;
+    }
+    g.g[0][0] = g00;
+    rhs[0] = r0;
+    return mass;
+  } else if constexpr (P == 2) {
+    const double* c1 = sys.col(1);
+    Lanes2 d{}, x{}, rr{};
+    for (std::size_t r = 0; r < n; ++r) {
+      const double wr = kUnit ? 1.0 : w[r];
+      const Lanes2 a01{c0[r], c1[r]};
+      const Lanes2 wa01 = splat2(wr) * a01;
+      const double wb = wr * b[r];
+      d += wa01 * a01;                                 // 00, 11
+      x += Lanes2{wa01[0], wr} * Lanes2{a01[1], 1.0};  // 01, mass
+      rr += a01 * splat2(wb);                          // r0, r1
+    }
+    g.g[0][0] = d[0];
+    g.g[1][1] = d[1];
+    g.g[0][1] = x[0];
+    rhs[0] = rr[0];
+    rhs[1] = rr[1];
+    return x[1];
+  } else if constexpr (P == 3) {
+    const double* c1 = sys.col(1);
+    const double* c2 = sys.col(2);
+    Lanes2 d{}, x02{}, x01{}, r01{}, r2m{};
+    for (std::size_t r = 0; r < n; ++r) {
+      const double wr = kUnit ? 1.0 : w[r];
+      const Lanes2 a01{c0[r], c1[r]};
+      const double a2 = c2[r];
+      const Lanes2 wa01 = splat2(wr) * a01;
+      const double wa2 = wr * a2;
+      const double wb = wr * b[r];
+      d += wa01 * a01;                                   // 00, 11
+      x02 += wa01 * splat2(a2);                          // 02, 12
+      x01 += Lanes2{wa01[0], wa2} * Lanes2{a01[1], a2};  // 01, 22
+      r01 += a01 * splat2(wb);                           // r0, r1
+      r2m += Lanes2{a2, wr} * Lanes2{wb, 1.0};           // r2, mass
+    }
+    g.g[0][0] = d[0];
+    g.g[1][1] = d[1];
+    g.g[0][2] = x02[0];
+    g.g[1][2] = x02[1];
+    g.g[0][1] = x01[0];
+    g.g[2][2] = x01[1];
+    rhs[0] = r01[0];
+    rhs[1] = r01[1];
+    rhs[2] = r2m[0];
+    return r2m[1];
+  } else {
+    const double* c1 = sys.col(1);
+    const double* c2 = sys.col(2);
+    const double* c3 = sys.col(3);
+    Lanes2 d01{}, d23{}, x02{}, x03{}, x01{}, r01{}, r23{};
+    double mass = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double wr = kUnit ? 1.0 : w[r];
+      const Lanes2 a01{c0[r], c1[r]};
+      const Lanes2 a23{c2[r], c3[r]};
+      const Lanes2 wa01 = splat2(wr) * a01;
+      const Lanes2 wa23 = splat2(wr) * a23;
+      const Lanes2 wb = splat2(wr * b[r]);
+      d01 += wa01 * a01;                                         // 00, 11
+      d23 += wa23 * a23;                                         // 22, 33
+      x02 += wa01 * a23;                                         // 02, 13
+      x03 += wa01 * Lanes2{a23[1], a23[0]};                      // 03, 12
+      x01 += Lanes2{wa01[0], wa23[0]} * Lanes2{a01[1], a23[1]};  // 01, 23
+      r01 += a01 * wb;                                           // r0, r1
+      r23 += a23 * wb;                                           // r2, r3
+      mass += wr;
+    }
+    g.g[0][0] = d01[0];
+    g.g[1][1] = d01[1];
+    g.g[2][2] = d23[0];
+    g.g[3][3] = d23[1];
+    g.g[0][2] = x02[0];
+    g.g[1][3] = x02[1];
+    g.g[0][3] = x03[0];
+    g.g[1][2] = x03[1];
+    g.g[0][1] = x01[0];
+    g.g[2][3] = x01[1];
+    rhs[0] = r01[0];
+    rhs[1] = r01[1];
+    rhs[2] = r23[0];
+    rhs[3] = r23[1];
+    return mass;
+  }
+}
+
+}  // namespace
+
+void residuals(const ColumnSystem& sys, const double* x, double* out) {
+  with_cols(sys.p, [&]<std::size_t P>() { residuals_impl<P>(sys, x, out); });
+}
+
+double update_residuals(const ColumnSystem& sys, const double* x,
+                        double* res) {
+  return with_cols(sys.p, [&]<std::size_t P>() {
+    return update_residuals_impl<P>(sys, x, res);
+  });
+}
+
+void squared_residuals(const ColumnSystem& sys, const double* x,
+                       double* out) {
+  with_cols(sys.p,
+            [&]<std::size_t P>() { squared_residuals_impl<P>(sys, x, out); });
+}
+
+std::size_t count_squared_below(const ColumnSystem& sys, const double* x,
+                                double bound, std::size_t need) {
+  return with_cols(sys.p, [&]<std::size_t P>() {
+    return count_squared_below_impl<P>(sys, x, bound, need);
+  });
+}
+
+double accumulate_weighted(const ColumnSystem& sys, const double* w,
+                           SmallGram& g, double* rhs) {
+  return with_cols(sys.p, [&]<std::size_t P>() {
+    return w ? accumulate_weighted_impl<P, false>(sys, w, g, rhs)
+             : accumulate_weighted_impl<P, true>(sys, w, g, rhs);
+  });
 }
 
 void qr_r_diagonal(const Matrix& a, std::vector<double>& scratch,

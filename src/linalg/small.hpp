@@ -17,11 +17,13 @@
 //   randomized kernel tests in tests/linalg/test_small.cpp assert exact
 //   (==) agreement, not just closeness.
 //
-// The SolverWorkspace keeps a row-major copy of the loaded system. The
-// unweighted grams (RANSAC minimal subsets, OLS seeds, GDOP) form each
-// product a_i * a_j on the fly in Matrix::gram's order; the weighted
-// grams keep the legacy (w * a_i) * a_j association — forming a_i * a_j
-// first would round differently and break bit-exactness.
+// The SolverWorkspace keeps the loaded system in one column-major layout
+// (§10.7 of DESIGN.md): the row-parallel kernels below run one SIMD lane
+// per row over contiguous columns, and the few row readers (minimal-subset
+// grams, masked grams, the QR fallback) gather their row. The unweighted
+// grams form each product a_i * a_j on the fly in Matrix::gram's order;
+// the weighted grams keep the legacy (w * a_i) * a_j association —
+// forming a_i * a_j first would round differently and break bit-exactness.
 #pragma once
 
 #include <cstddef>
@@ -85,12 +87,24 @@ void small_cholesky_solve(const SmallCholesky& chol, const double* b,
 SolveStatus small_qr_solve(double a[][kSmallMaxCols], double* b,
                            std::size_t m, std::size_t p, double* x);
 
+/// Column-major view of a tall system with p <= kSmallMaxCols columns:
+/// column c of the design matrix holds rows [0, n) at a + c * n, and the
+/// rhs holds n entries at b.
+struct ColumnSystem {
+  const double* a = nullptr;
+  const double* b = nullptr;
+  std::size_t n = 0;
+  std::size_t p = 0;
+
+  const double* col(std::size_t c) const { return a + c * n; }
+};
+
 /// Reusable scratch for the consensus/IRLS solver stack. One workspace
 /// per thread (the batch engine keeps one per pool worker); load() caches
-/// a system's rows and rhs, and the public buffers back
-/// every intermediate the solvers need. All storage grows geometrically
-/// and never shrinks, so a warmed workspace makes the steady-state
-/// solve loop allocation-free (asserted by tests/perf/test_alloc.cpp).
+/// a system column by column, and the public buffers back every
+/// intermediate the solvers need. All storage grows geometrically and
+/// never shrinks, so a warmed workspace makes the steady-state solve loop
+/// allocation-free (asserted by tests/perf/test_alloc.cpp).
 ///
 /// A workspace never affects results — solves through a workspace are
 /// bit-identical to the allocating general path.
@@ -100,7 +114,7 @@ class SolverWorkspace {
   SolverWorkspace(const SolverWorkspace&) = delete;
   SolverWorkspace& operator=(const SolverWorkspace&) = delete;
 
-  /// Cache system (a, b): its rows and rhs. Requires a.cols() <=
+  /// Cache system (a, b) column-major. Requires a.cols() <=
   /// kSmallMaxCols and b.size() == a.rows() (throws
   /// std::invalid_argument otherwise).
   void load(const Matrix& a, const std::vector<double>& b);
@@ -109,11 +123,13 @@ class SolverWorkspace {
   std::size_t cols() const { return p_; }
   bool loaded() const { return p_ != 0; }
 
-  /// Row r of the cached design matrix (cols() entries).
-  const double* row(std::size_t r) const { return rows_.data() + r * p_; }
+  /// The cached system as a column-major view.
+  ColumnSystem system() const { return {cols_.data(), b_.data(), n_, p_}; }
+  /// Copy row r of the cached design matrix (cols() entries) to `out`.
+  void gather_row(std::size_t r, double* out) const {
+    for (std::size_t c = 0; c < p_; ++c) out[c] = cols_[c * n_ + r];
+  }
   double rhs(std::size_t r) const { return b_[r]; }
-  /// The cached rhs vector (rows() entries).
-  const double* rhs_data() const { return b_.data(); }
 
   /// A^T A of the loaded system, bit-exact with Matrix::gram() on the
   /// loaded matrix (used by the GDOP diagnostics after a workspace
@@ -121,11 +137,10 @@ class SolverWorkspace {
   Matrix gram_matrix() const;
 
   // Scratch buffers, resized (never shrunk) by the solver routines.
-  std::vector<double> residuals;       ///< candidate residuals (RANSAC)
-  std::vector<double> best_residuals;  ///< best-so-far residuals (RANSAC)
+  std::vector<double> residuals;       ///< residual scratch (RANSAC mask)
   std::vector<double> median_scratch;  ///< median selection buffer
   std::vector<double> abs_dev;         ///< MAD deviations (robust weights)
-  std::vector<double> irls_rows;       ///< compacted masked rows (IRLS)
+  std::vector<double> irls_cols;       ///< compacted masked columns (IRLS)
   std::vector<double> irls_rhs;        ///< compacted masked rhs (IRLS)
   std::vector<double> qr_scratch;      ///< column-major copy (qr_r_diagonal)
   std::vector<std::size_t> indices;    ///< Fisher-Yates subset sampler
@@ -133,9 +148,48 @@ class SolverWorkspace {
  private:
   std::size_t n_ = 0;
   std::size_t p_ = 0;
-  std::vector<double> rows_;
+  std::vector<double> cols_;  ///< n x p design matrix, column-major
   std::vector<double> b_;
 };
+
+// Row-parallel kernels over a ColumnSystem. One SIMD lane is one row and
+// performs exactly the scalar operations of that row: the residual is
+// r_i = (((0 + a_i0 x_0) + a_i1 x_1) + ...) - b_i, the dot-product order
+// of Matrix::multiply. Requires sys.p in [1, kSmallMaxCols].
+
+/// r_i for every row into `out` (sys.n entries).
+void residuals(const ColumnSystem& sys, const double* x, double* out);
+
+/// Overwrite res_i with r_i for every row and return the largest move
+/// max_i |r_i - res_i| (+0.0 for sys.n == 0).
+double update_residuals(const ColumnSystem& sys, const double* x,
+                        double* res);
+
+/// r_i * r_i for every row into `out` (sys.n entries).
+void squared_residuals(const ColumnSystem& sys, const double* x,
+                       double* out);
+
+/// Row block of the count-only LMedS prescreen's early-exit test.
+inline constexpr std::size_t kPrescreenBlock = 256;
+
+/// Number of rows with r_i * r_i < bound, stored nowhere. After every
+/// block of kPrescreenBlock rows the pass stops once fewer than `need`
+/// rows could still be counted (count + rows left < need); the partial
+/// count returned then is below `need`. need == 0 never stops early.
+std::size_t count_squared_below(const ColumnSystem& sys, const double* x,
+                                double bound, std::size_t need);
+
+/// The weighted normal equations of `sys` in the legacy order, one SIMD
+/// lane per gram entry: g(i, j >= i) = sum_r (w_r * a_ri) * a_rj and
+/// rhs[c] = sum_r a_rc * (w_r * b_r), every sum in row order — bit-exact
+/// with Matrix::weighted_gram / weighted_transpose_multiply. Writes the
+/// upper triangle of `g` (reset to sys.p by the caller; call mirror()
+/// afterwards) and sys.p entries of `rhs`; returns the weight mass
+/// sum_r w_r, also in row order. w == nullptr means unit weights: the
+/// products are then a_ri * a_rj and a_rc * b_r (multiplying by 1.0 is
+/// exact), bit-exact with Matrix::gram / transpose_multiply.
+double accumulate_weighted(const ColumnSystem& sys, const double* w,
+                           SmallGram& g, double* rhs);
 
 /// Incrementally maintained normal equations of a tall-skinny system with
 /// p <= kSmallMaxCols unknowns: G = A^T A (packed upper triangle, the
@@ -232,8 +286,9 @@ class IncrementalNormals {
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs);
 
-/// Same over the rows selected by `mask` (mask == nullptr selects every
-/// row), in increasing row order.
+/// Same over the rows selected by `mask` (non-null, one entry per row),
+/// in increasing row order. The full unweighted gram is
+/// accumulate_weighted(ws.system(), nullptr, ...).
 void accumulate_masked(const SolverWorkspace& ws, const char* mask,
                        SmallGram& g, double* rhs);
 

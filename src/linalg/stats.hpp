@@ -33,8 +33,37 @@ struct MedianOrder {
   double median = 0.0;
 };
 
-/// median_in_place, also reporting both middle order statistics.
+/// Sizes from which median_order_in_place tries a verified sample
+/// bracket before full selection, and the size of that sample.
+inline constexpr std::size_t kMedianSampleMin = 2048;
+inline constexpr std::size_t kMedianSample = 512;
+
+/// Position of the j-th of the kMedianSample values median_order_in_place
+/// samples from n >= kMedianSampleMin: one per stratum
+/// [j*n/kMedianSample, (j+1)*n/kMedianSample), at a hashed offset inside
+/// it, so a layout that repeats with some period (rows in rung order)
+/// cannot alias the sample.
+inline std::size_t median_sample_position(std::size_t j, std::size_t n) {
+  const std::size_t start = j * n / kMedianSample;
+  const std::size_t width = (j + 1) * n / kMedianSample - start;
+  return start + (j * 2654435761u >> 8) % width;
+}
+
+/// median_in_place, also reporting both middle order statistics. From
+/// n = kMedianSampleMin values on, the kMedianSample values at
+/// median_sample_position are a deterministic sample whose order
+/// statistics around its middle bracket the range's middle. One read-only pass counts the values below and inside that
+/// bracket; only when the counts prove both middle ranks inside are the
+/// bracketed values swapped to the front and selected among. Otherwise
+/// (an unrepresentative sample, or a NaN anywhere in the range) the range
+/// is still intact and takes the full Floyd-Rivest selection. Either way
+/// the result is the same order statistics, and the range is left a
+/// permutation of its input.
 MedianOrder median_order_in_place(double* first, double* last);
+
+/// The full Floyd-Rivest selection median_order_in_place takes below
+/// kMedianSampleMin values and on a missed sample bracket, alone.
+MedianOrder median_order_full(double* first, double* last);
 
 /// Exact median from a bracket [lo, hi] believed to hold the middle order
 /// statistics of values[0..n). One pass counts the values below lo and

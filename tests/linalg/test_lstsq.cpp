@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
@@ -575,6 +576,69 @@ TEST(Irls, MaskedSolveReportsUnderdeterminedStatus) {
   LstsqResult out;
   EXPECT_EQ(solve_irls_masked(ws, mask.data(), 2, {}, out),
             SolveStatus::kUnderdetermined);
+}
+
+// --- The split IRLS reweight: weight map + weighted normal equations ------
+
+TEST(SplitReweight, MatchesReferenceWeightsAndWeightedGramBitExact) {
+  std::mt19937_64 rng(61);
+  std::normal_distribution<double> noise(0.0, 0.02);
+  std::uniform_real_distribution<double> coef(-2.0, 2.0);
+  for (std::size_t p = 1; p <= 4; ++p) {
+    for (const std::size_t n : {7u, 64u, 501u}) {
+      Matrix a(n, p);
+      std::vector<double> b(n);
+      std::vector<double> res(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < p; ++c) a(i, c) = coef(rng);
+        b[i] = coef(rng);
+        res[i] = noise(rng) + (i % 9 == 0 ? 1.5 : 0.0);  // a few outliers
+      }
+      SolverWorkspace ws;
+      ws.load(a, b);
+      for (const RobustLoss loss :
+           {RobustLoss::kHuber, RobustLoss::kTukey, RobustLoss::kGaussian}) {
+        // The round's centre and scale, as the IRLS loop derives them.
+        ResidualWeightFn fn{loss, 0.0, 0.0,
+                            loss == RobustLoss::kHuber ? 1.345 : 4.685};
+        if (loss == RobustLoss::kGaussian) {
+          fn.center = mean(res);
+          fn.sigma = std::max(stddev(res), 1e-12);
+        } else {
+          fn.center = median(res);
+          std::vector<double> dev(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            dev[i] = std::abs(res[i] - fn.center);
+          }
+          fn.sigma = std::max(1.4826 * median(dev), 1e-12);
+        }
+        const auto ref_w = loss == RobustLoss::kGaussian
+                               ? gaussian_residual_weights(res)
+                               : robust_residual_weights(res, loss);
+        std::vector<double> w(n);
+        map_residual_weights(fn, res.data(), n, w.data());
+        ASSERT_EQ(w, ref_w) << robust_loss_name(loss) << " p=" << p;
+
+        SmallGram g;
+        g.reset(p);
+        double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
+        const double mass = accumulate_weighted(ws.system(), w.data(), g, rhs);
+        g.mirror();
+        const Matrix ref_g = a.weighted_gram(ref_w);
+        const auto ref_rhs = a.weighted_transpose_multiply(ref_w, b);
+        double ref_mass = 0.0;
+        for (const double wi : ref_w) ref_mass += wi;
+        EXPECT_EQ(mass, ref_mass);
+        for (std::size_t i = 0; i < p; ++i) {
+          for (std::size_t j = 0; j < p; ++j) {
+            EXPECT_EQ(g.g[i][j], ref_g(i, j))
+                << robust_loss_name(loss) << " p=" << p << " n=" << n;
+          }
+          EXPECT_EQ(rhs[i], ref_rhs[i]);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -224,6 +225,127 @@ TEST(MedianInBracket, DuplicatesAndAllEqual) {
   const std::vector<double> same_even(10, -0.5);
   EXPECT_TRUE(check_bracket(same_even, -0.5, -0.5));
   EXPECT_FALSE(check_bracket(same_even, -1.0, -0.6));
+}
+
+// --- median_order_in_place with the verified sample bracket ---------------
+
+// Sort-based reference for the middle order statistics.
+MedianOrder sorted_middle(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  MedianOrder m;
+  m.lower = v[(n - 1) / 2];
+  m.upper = v[n / 2];
+  m.median = n % 2 == 1 ? m.upper : 0.5 * (m.lower + m.upper);
+  return m;
+}
+
+void check_sampled_median(const std::vector<double>& v, const char* what) {
+  const MedianOrder ref = sorted_middle(v);
+  std::vector<double> work = v;
+  const MedianOrder got =
+      median_order_in_place(work.data(), work.data() + work.size());
+  EXPECT_EQ(got.lower, ref.lower) << what << " n=" << v.size();
+  EXPECT_EQ(got.upper, ref.upper) << what << " n=" << v.size();
+  EXPECT_EQ(got.median, ref.median) << what << " n=" << v.size();
+  // The range is reordered, never overwritten.
+  std::vector<double> a = v;
+  std::sort(a.begin(), a.end());
+  std::sort(work.begin(), work.end());
+  EXPECT_EQ(work, a) << what << " n=" << v.size();
+}
+
+TEST(MedianOrder, SampledSelectionMatchesSortReference) {
+  std::mt19937_64 rng(44);
+  std::normal_distribution<double> d(0.0, 1.0);
+  std::uniform_int_distribution<int> few(0, 6);
+  const std::size_t t = kMedianSampleMin;
+  for (const std::size_t n : {t - 1, t, t + 1, std::size_t{8191},
+                              std::size_t{8192}, std::size_t{20001}}) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = d(rng);
+    check_sampled_median(v, "normal");
+    for (auto& x : v) x = x * x;  // squared residuals: heavy right tail
+    check_sampled_median(v, "squared");
+    std::sort(v.begin(), v.end());
+    check_sampled_median(v, "sorted");
+    std::reverse(v.begin(), v.end());
+    check_sampled_median(v, "reverse sorted");
+    for (auto& x : v) x = 0.25 * few(rng);  // duplicates at the median
+    check_sampled_median(v, "duplicates");
+    std::fill(v.begin(), v.end(), -1.5);
+    check_sampled_median(v, "all equal");
+  }
+}
+
+TEST(MedianOrder, UnrepresentativeSampleTakesTheFullSelection) {
+  // The sampled positions hold the largest values, so the sample's middle
+  // brackets nothing near the range's middle: the count misses and the
+  // full selection runs over the intact range.
+  std::mt19937_64 rng(45);
+  std::uniform_real_distribution<double> small(0.0, 1.0);
+  for (const std::size_t n : {kMedianSampleMin, std::size_t{8191},
+                              std::size_t{8192}, std::size_t{12345}}) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = small(rng);
+    for (std::size_t j = 0; j < kMedianSample; ++j) {
+      v[median_sample_position(j, n)] = 1e6 + static_cast<double>(j);
+    }
+    check_sampled_median(v, "unrepresentative");
+    // And the mirror image: the sample holds the smallest values.
+    for (std::size_t j = 0; j < kMedianSample; ++j) {
+      v[median_sample_position(j, n)] = -1e6 - static_cast<double>(j);
+    }
+    check_sampled_median(v, "unrepresentative low");
+  }
+}
+
+TEST(MedianOrder, SamplePositionsCoverEveryStratum) {
+  for (const std::size_t n : {kMedianSampleMin, std::size_t{8191},
+                              std::size_t{8192}, std::size_t{20001}}) {
+    for (std::size_t j = 0; j < kMedianSample; ++j) {
+      const std::size_t p = median_sample_position(j, n);
+      EXPECT_GE(p, j * n / kMedianSample) << "n=" << n << " j=" << j;
+      EXPECT_LT(p, (j + 1) * n / kMedianSample) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(MedianOrder, NaNInSampledRangeTakesTheFullSelection) {
+  // Inputs must be NaN-free, but a NaN must not make the sampled path
+  // select among slots the bracket never held: the range goes to the
+  // full selection intact, so both the order statistics and the final
+  // layout match median_order_full bit for bit.
+  std::mt19937_64 rng(46);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (const std::size_t n : {kMedianSampleMin, std::size_t{8191},
+                              std::size_t{8192}}) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = d(rng);
+    // One NaN off the sample (the bracket holds the middle otherwise),
+    // one on it, and one of each.
+    const std::size_t off = median_sample_position(7, n) + 1;
+    const std::size_t on = median_sample_position(300, n);
+    for (const auto& nans : {std::vector<std::size_t>{off},
+                             std::vector<std::size_t>{on},
+                             std::vector<std::size_t>{off, on}}) {
+      std::vector<double> w = v;
+      for (const std::size_t i : nans) w[i] = std::nan("");
+      std::vector<double> ref = w;
+      const MedianOrder want = median_order_full(ref.data(),
+                                                 ref.data() + n);
+      const MedianOrder got = median_order_in_place(w.data(), w.data() + n);
+      EXPECT_TRUE(same_bits(got.lower, want.lower)) << "n=" << n;
+      EXPECT_TRUE(same_bits(got.upper, want.upper)) << "n=" << n;
+      EXPECT_TRUE(same_bits(got.median, want.median)) << "n=" << n;
+      EXPECT_EQ(std::memcmp(w.data(), ref.data(), n * sizeof(double)), 0)
+          << "n=" << n;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/small.hpp"
+#include "linalg/stats.hpp"
 #include "rf/rng.hpp"
 
 namespace {
@@ -195,6 +197,44 @@ TEST(AllocationContract, WarmMaskedIrlsSolveIsAllocationFree) {
   EXPECT_EQ(n, 0u) << "warmed masked IRLS touched the heap " << n << " times";
   EXPECT_GT(out.iterations, 1u);
   EXPECT_EQ(out.weights.size(), count);
+}
+
+TEST(AllocationContract, WarmSameShapeLoadIsAllocationFree) {
+  // load() rewrites the column-major cache in place.
+  const auto p = line_problem(200, 0.1, 16);
+  const auto q = line_problem(200, 0.3, 17);
+  linalg::SolverWorkspace ws;
+  ws.load(p.a, p.b);
+
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < 5; ++i) {
+      ws.load(q.a, q.b);
+      ws.load(p.a, p.b);
+    }
+  });
+  EXPECT_EQ(n, 0u) << "same-shape load touched the heap " << n << " times";
+  EXPECT_EQ(ws.rows(), 200u);
+}
+
+TEST(AllocationContract, SampledMedianSelectionIsAllocationFree) {
+  // n = 8192 takes the verified sample bracket; its sample lives on the
+  // stack and its compaction swaps within the range.
+  rf::Rng rng(18);
+  std::vector<double> values(8192);
+  for (auto& v : values) v = rng.gaussian(1.0);
+  std::vector<double> work = values;
+
+  double sink = 0.0;
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < 5; ++i) {
+      std::copy(values.begin(), values.end(), work.begin());
+      sink += linalg::median_order_in_place(work.data(),
+                                            work.data() + work.size())
+                  .median;
+    }
+  });
+  EXPECT_EQ(n, 0u) << "median selection touched the heap " << n << " times";
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST(AllocationContract, ReloadAcrossShapesStaysAllocationFreeOnceWarm) {
