@@ -1,10 +1,8 @@
 // Micro-benchmarks of the hot paths behind Fig. 13(b)'s time-consumption
-// claim: phase unwrapping, system assembly, the LS/IRLS/RANSAC solves,
+// claim: phase unwrapping, system assembly, the IRLS/RANSAC solves,
 // the end-to-end LION localization, and the hologram cell scan they
-// replace. The solver workloads run twice — method=legacy through the
-// allocating general path, method=workspace through the zero-allocation
-// SolverWorkspace path — so the speedup of the small-matrix core is a
-// first-class bench result (and the CI perf gate can watch it).
+// replace. The IRLS and RANSAC workloads run on a warmed SolverWorkspace
+// (method=workspace), the one path the library solves them on.
 //
 // Timing is a self-calibrating repetition loop on the shared Timer (no
 // external benchmark framework): each workload is warmed once, then
@@ -129,21 +127,6 @@ int main(int argc, char** argv) {
                                       rf::kDefaultWavelength);
 
   {
-    const double ops = ops_per_sec([&] {
-      g_sink += linalg::solve_least_squares(sys.a, sys.k).x[0];
-    });
-    report(reporter, "solve_ls", "legacy", ops);
-    const double ops_sol = ops_per_sec([&] {
-      g_sink += linalg::solve_least_squares_solution(sys.a, sys.k)[0];
-    });
-    report(reporter, "solve_ls", "solution", ops_sol);
-  }
-
-  {
-    const double ops = ops_per_sec([&] {
-      g_sink += linalg::solve_irls(sys.a, sys.k, {}).x[0];
-    });
-    report(reporter, "solve_irls", "legacy", ops);
     linalg::SolverWorkspace ws;
     linalg::LstsqResult out;
     const double ops_ws = ops_per_sec([&] {
@@ -155,10 +138,6 @@ int main(int argc, char** argv) {
 
   {
     core::RansacOptions opt;
-    const double ops = ops_per_sec([&] {
-      g_sink += core::ransac_solve(sys.a, sys.k, opt).solution.x[0];
-    });
-    report(reporter, "ransac_solve", "legacy", ops);
     linalg::SolverWorkspace ws;
     core::RansacResult out;
     const double ops_ws = ops_per_sec([&] {

@@ -423,31 +423,20 @@ int main(int argc, char** argv) {
       .value("latency_p99_ms", linalg::percentile(tick_ms, 99))
       .value("fallbacks", static_cast<double>(tick_fallbacks));
 
-  // --- calibrate flushes: full batch re-solve vs incremental `!flush`. -
+  // --- calibrate flushes: full batch re-solve vs memo `!flush`. -------
   //
-  // A long-lived calibrate session accumulates a clean row stream
-  // (declared smoothing=1 so appends never rewrite already-preprocessed
-  // samples); once a cold flush has installed an anchor, steady-state
-  // `!flush` requests answer from the incremental solver instead of
-  // re-running the weighted robust tournament. Four rows:
-  //   cal_full        5k rows, fresh session per flush -> cold full solve
-  //   cal_incr        5k rows, unchanged buffer -> memo tier (digest)
-  //   cal_full_1k     800 rows, fresh session per flush -> cold full solve
-  //   cal_incr_delta  800 rows, 1-row append per flush -> warm gated refine
-  // The warm row runs at 800 samples on purpose: past ~2k clean rows the
-  // residual distribution is dense enough that the consensus-threshold
-  // ambiguity band is never empty, so the drift gate (correctly) refuses
-  // the warm answer and the tier's cost never shows. The warm win is a
-  // modest constant factor (it skips the per-candidate LMedS tournament
-  // but still pays the exact batch refit — the price of bit-identity);
-  // the memo tier is the steady-state O(digest) answer and carries the
-  // headline speedup. CI gates the incremental rows' latency_p95_ms
-  // against BENCH_10.json.
+  // A long-lived calibrate session accumulates a clean row stream; once a
+  // full solve has installed the session's report memo, a `!flush` over
+  // the unchanged buffer answers from the memo instead of re-running the
+  // robust tournament. Three rows:
+  //   cal_full        5k rows, fresh session per flush -> full solve
+  //   cal_incr        5k rows, unchanged buffer -> memo (size + digest)
+  //   cal_full_1k     800 rows, fresh session per flush -> full solve
+  // CI gates the cal_incr row's latency_p95_ms against BENCH_10.json.
   constexpr std::size_t kCalRows = 5000;
-  constexpr std::size_t kCalDeltaRows = 800;
+  constexpr std::size_t kCal1kRows = 800;
   constexpr std::size_t kCalFullIters = 8;
   constexpr std::size_t kCalIncrFlushes = 100;
-  constexpr std::size_t kCalDeltaFlushes = 50;
   const auto cal_traj = rig.build();
   const Vec3 cal_center{0.009, 0.789, 0.006};
   const auto cal_make_rows = [&](std::size_t n) {
@@ -467,20 +456,13 @@ int main(int argc, char** argv) {
     return out;
   };
   const auto cal_rows = cal_make_rows(kCalRows);
-  const auto cal_delta_rows = cal_make_rows(kCalDeltaRows + kCalDeltaFlushes);
-  std::size_t cal_memo = 0, cal_warm = 0, cal_cold = 0;
-  bool cal_last_warm = false;
+  std::size_t cal_memo = 0, cal_cold = 0;
   const auto cal_count = [&](std::string_view line) {
     if (line.find("\"schema\":\"lion.report.v1\"") == std::string_view::npos) {
       return;
     }
-    cal_last_warm = false;
     if (line.find("\"source\":\"memo\"") != std::string_view::npos) {
       ++cal_memo;
-    } else if (line.find("\"source\":\"incremental\"") !=
-               std::string_view::npos) {
-      ++cal_warm;
-      cal_last_warm = true;
     } else {
       ++cal_cold;
     }
@@ -508,19 +490,18 @@ int main(int argc, char** argv) {
     return wall;
   };
 
-  std::vector<double> cal_full_ms, cal_full_1k_ms, cal_incr_ms, cal_delta_ms;
+  std::vector<double> cal_full_ms, cal_full_1k_ms, cal_incr_ms;
   const double cal_full_wall_s =
       cal_full_solves(cal_rows, kCalFullIters, cal_full_ms);
-  std::vector<std::string> cal_1k_prefix(
-      cal_delta_rows.begin(), cal_delta_rows.begin() + kCalDeltaRows);
   const double cal_full_1k_wall_s =
-      cal_full_solves(cal_1k_prefix, kCalFullIters, cal_full_1k_ms);
+      cal_full_solves(cal_make_rows(kCal1kRows), kCalFullIters,
+                      cal_full_1k_ms);
   double cal_incr_wall_s = 0.0;
   {
     serve::StreamService svc(serve::ServiceConfig{}, cal_count);
     svc.ingest_line("!session cal center=0.009,0.789,0.006 smoothing=1");
     for (const std::string& row : cal_rows) svc.ingest_line(row);
-    svc.ingest_line("!flush cal");  // cold: full solve installs the anchor
+    svc.ingest_line("!flush cal");  // full solve installs the memo
     svc.drain();
     bench::Timer run;
     for (std::size_t p = 0; p < kCalIncrFlushes; ++p) {
@@ -532,57 +513,22 @@ int main(int argc, char** argv) {
     cal_incr_wall_s = run.seconds();
     svc.finish();
   }
-  double cal_delta_wall_s = 0.0;
-  std::size_t cal_delta_fallbacks = 0;
-  {
-    serve::StreamService svc(serve::ServiceConfig{}, cal_count);
-    svc.ingest_line("!session cal center=0.009,0.789,0.006 smoothing=1");
-    for (std::size_t i = 0; i < kCalDeltaRows; ++i) {
-      svc.ingest_line(cal_delta_rows[i]);
-    }
-    svc.ingest_line("!flush cal");  // cold: installs the anchor
-    svc.drain();
-    bench::Timer run;
-    for (std::size_t p = 0; p < kCalDeltaFlushes; ++p) {
-      bench::Timer t;
-      svc.ingest_line(cal_delta_rows[kCalDeltaRows + p]);
-      svc.ingest_line("!flush cal");
-      svc.drain();
-      // Gate-tripped flushes cost a full solve and would make the gated
-      // p95 bimodal; keep the row a warm-tier measurement and count the
-      // trips separately (the printed source tally keeps them visible).
-      if (cal_last_warm) {
-        cal_delta_ms.push_back(t.seconds() * 1e3);
-      } else {
-        ++cal_delta_fallbacks;
-      }
-    }
-    cal_delta_wall_s = run.seconds();
-    svc.finish();
-    if (cal_delta_ms.empty()) cal_delta_ms.push_back(0.0);
-  }
   const double cal_full_p95 = linalg::percentile(cal_full_ms, 95);
   const double cal_full_1k_p95 = linalg::percentile(cal_full_1k_ms, 95);
   const double cal_incr_p95 = linalg::percentile(cal_incr_ms, 95);
-  const double cal_delta_p95 = linalg::percentile(cal_delta_ms, 95);
   std::printf(
-      "\ncalibrate flushes (incremental solver vs full pipeline):\n"
+      "\ncalibrate flushes (report memo vs full pipeline):\n"
       "  %zu-row full solve [ms]: p50 %.3f, p95 %.3f, p99 %.3f\n"
       "  %zu-row memo flush [ms]: p50 %.4f, p95 %.4f, p99 %.4f (%.1fx at "
       "p95)\n"
       "  %zu-row full solve [ms]: p50 %.3f, p95 %.3f, p99 %.3f\n"
-      "  %zu-row +1 flush   [ms]: p50 %.3f, p95 %.3f, p99 %.3f (%.1fx at "
-      "p95, %zu fallbacks)\n"
-      "  sources: %zu memo, %zu incremental, %zu fallback\n",
+      "  sources: %zu memo, %zu fallback\n",
       kCalRows, linalg::percentile(cal_full_ms, 50), cal_full_p95,
       linalg::percentile(cal_full_ms, 99), kCalRows,
       linalg::percentile(cal_incr_ms, 50), cal_incr_p95,
       linalg::percentile(cal_incr_ms, 99), cal_full_p95 / cal_incr_p95,
-      kCalDeltaRows, linalg::percentile(cal_full_1k_ms, 50), cal_full_1k_p95,
-      linalg::percentile(cal_full_1k_ms, 99), kCalDeltaRows,
-      linalg::percentile(cal_delta_ms, 50), cal_delta_p95,
-      linalg::percentile(cal_delta_ms, 99), cal_full_1k_p95 / cal_delta_p95,
-      cal_delta_fallbacks, cal_memo, cal_warm, cal_cold);
+      kCal1kRows, linalg::percentile(cal_full_1k_ms, 50), cal_full_1k_p95,
+      linalg::percentile(cal_full_1k_ms, 99), cal_memo, cal_cold);
   report.row("cal_full")
       .tag("build", "post")
       .value("threads", 0.0)
@@ -605,23 +551,12 @@ int main(int argc, char** argv) {
   report.row("cal_full_1k")
       .tag("build", "post")
       .value("threads", 0.0)
-      .value("window_rows", static_cast<double>(kCalDeltaRows))
+      .value("window_rows", static_cast<double>(kCal1kRows))
       .value("items_per_s",
              static_cast<double>(kCalFullIters) / cal_full_1k_wall_s)
       .value("latency_p50_ms", linalg::percentile(cal_full_1k_ms, 50))
       .value("latency_p95_ms", cal_full_1k_p95)
       .value("latency_p99_ms", linalg::percentile(cal_full_1k_ms, 99));
-  report.row("cal_incr_delta")
-      .tag("build", "post")
-      .value("threads", 0.0)
-      .value("window_rows", static_cast<double>(kCalDeltaRows))
-      .value("items_per_s",
-             static_cast<double>(kCalDeltaFlushes) / cal_delta_wall_s)
-      .value("latency_p50_ms", linalg::percentile(cal_delta_ms, 50))
-      .value("latency_p95_ms", cal_delta_p95)
-      .value("latency_p99_ms", linalg::percentile(cal_delta_ms, 99))
-      .value("speedup_p95", cal_full_1k_p95 / cal_delta_p95)
-      .value("fallbacks", static_cast<double>(cal_delta_fallbacks));
 
   // --- fleet ingest: sharded epoll front-end under a TCP fleet. --------
   // The server lives in this process so obs::process_* gauges measure the

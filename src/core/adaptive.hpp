@@ -65,8 +65,8 @@ AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
                                const AdaptiveConfig& config);
 
 /// The localizer configuration locate_adaptive uses for one (range,
-/// interval) cell over the windowed profile `windowed` — shared with the
-/// incremental calibrate path so both evaluate identical systems.
+/// interval) cell over the windowed profile `windowed` — exposed so a
+/// sweep composed outside this file evaluates identical systems.
 LocalizerConfig adaptive_cell_config(const AdaptiveConfig& config,
                                      double interval,
                                      const signal::PhaseProfile& windowed);
@@ -77,8 +77,9 @@ bool adaptive_candidate_usable(const LocalizationResult& result,
                                const AdaptiveConfig& config);
 
 /// The ranking/selection/averaging tail of locate_adaptive over an
-/// already-evaluated candidate list, exposed so the incremental calibrate
-/// path reproduces the exact selection order and averaging arithmetic.
+/// already-evaluated candidate list, exposed so a sweep composed outside
+/// this file reproduces the exact selection order and averaging
+/// arithmetic.
 /// Throws std::invalid_argument when no candidate is usable.
 AdaptiveResult finalize_adaptive_sweep(std::vector<AdaptiveCandidate> candidates,
                                        const AdaptiveConfig& config);

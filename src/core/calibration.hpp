@@ -151,9 +151,10 @@ using AdaptiveSweepFn = std::function<AdaptiveResult(
 /// condition gate, diagnostics, and the Eq.-17 offset — is this shared
 /// code, so two calls whose sweeps return bit-identical results produce
 /// byte-identical reports. calibrate_antenna_robust passes
-/// locate_adaptive; the incremental calibrate solver passes its
-/// warm-started sweep. Exceptions not derived from std::exception escape
-/// (the incremental path's abort signal rides on that).
+/// locate_adaptive; an instrumented caller can pass a sweep composed from
+/// adaptive_cell_config / adaptive_candidate_usable /
+/// finalize_adaptive_sweep. Exceptions not derived from std::exception
+/// escape.
 CalibrationReport calibrate_with_sweep(
     const std::vector<sim::PhaseSample>& samples, const Vec3& physical_center,
     const RobustCalibrationConfig& config, linalg::SolverWorkspace* workspace,

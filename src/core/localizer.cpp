@@ -29,6 +29,16 @@ const char* solve_method_name(SolveMethod m) {
   return "unknown";
 }
 
+namespace {
+
+// The workspace behind every RANSAC / IRLS-family solve and the condition
+// estimate: the configured one, else this thread's default.
+linalg::SolverWorkspace& workspace_of(const LocalizerConfig& config) {
+  return config.workspace ? *config.workspace : linalg::default_workspace();
+}
+
+}  // namespace
+
 LinearLocalizer::LinearLocalizer(LocalizerConfig config)
     : config_(std::move(config)) {
   if (config_.target_dim != 2 && config_.target_dim != 3) {
@@ -84,6 +94,7 @@ LocalizationResult LinearLocalizer::locate_with_pairs(
 
   SolveOutcome oc;
   linalg::LstsqResult& sol = oc.solution;
+  linalg::SolverWorkspace& ws = workspace_of(config_);
   LION_OBS_SPAN(obs::Stage::kSolve);
   switch (config_.method) {
     case SolveMethod::kLeastSquares:
@@ -98,11 +109,8 @@ LocalizationResult LinearLocalizer::locate_with_pairs(
       break;
     }
     case SolveMethod::kIterativeReweighted:
-      sol = config_.workspace
-                ? linalg::solve_irls(sys.a, sys.k, config_.irls,
-                                     *config_.workspace)
-                : linalg::solve_irls(sys.a, sys.k, config_.irls);
-      oc.ws_holds_system = config_.workspace != nullptr;
+      sol = linalg::solve_irls(sys.a, sys.k, config_.irls, ws);
+      oc.ws_holds_system = true;
       break;
     case SolveMethod::kHuberIrls:
     case SolveMethod::kTukeyIrls: {
@@ -110,20 +118,15 @@ LocalizationResult LinearLocalizer::locate_with_pairs(
       irls.loss = config_.method == SolveMethod::kHuberIrls
                       ? linalg::RobustLoss::kHuber
                       : linalg::RobustLoss::kTukey;
-      sol = config_.workspace
-                ? linalg::solve_irls(sys.a, sys.k, irls, *config_.workspace)
-                : linalg::solve_irls(sys.a, sys.k, irls);
-      oc.ws_holds_system = config_.workspace != nullptr;
+      sol = linalg::solve_irls(sys.a, sys.k, irls, ws);
+      oc.ws_holds_system = true;
       break;
     }
     case SolveMethod::kRansac: {
-      auto rr =
-          config_.workspace
-              ? ransac_solve(sys.a, sys.k, config_.ransac, *config_.workspace)
-              : ransac_solve(sys.a, sys.k, config_.ransac);
+      auto rr = ransac_solve(sys.a, sys.k, config_.ransac, ws);
       sol = std::move(rr.solution);
       oc.inlier_fraction = rr.inlier_fraction;
-      oc.ws_holds_system = config_.workspace != nullptr;
+      oc.ws_holds_system = true;
       oc.consensus = rr.consensus;
       oc.consensus_scale = rr.scale;
       oc.consensus_threshold = rr.threshold;
@@ -138,21 +141,17 @@ LocalizationResult LinearLocalizer::assemble_result(
     const LinearSystem& sys, std::size_t equations,
     const SolveOutcome& oc) const {
   const linalg::LstsqResult& sol = oc.solution;
-  const double inlier_fraction = oc.inlier_fraction;
-  const bool ws_holds_system = oc.ws_holds_system;
+  linalg::SolverWorkspace& ws = workspace_of(config_);
 
   LocalizationResult out;
-  out.inlier_fraction = inlier_fraction;
+  out.inlier_fraction = oc.inlier_fraction;
   out.consensus = oc.consensus;
   out.consensus_scale = oc.consensus_scale;
   out.consensus_threshold = oc.consensus_threshold;
   out.equations = equations;
   out.trajectory_rank = frame.rank;
   if (sys.a.rows() >= sys.a.cols()) {
-    std::vector<double> local_scratch;
-    out.condition = linalg::qr_condition_estimate(
-        sys.a, config_.workspace ? config_.workspace->qr_scratch
-                                 : local_scratch);
+    out.condition = linalg::qr_condition_estimate(sys.a, ws.qr_scratch);
   } else {
     out.condition = std::numeric_limits<double>::infinity();
   }
@@ -168,15 +167,10 @@ LocalizationResult LinearLocalizer::assemble_result(
   if (sol.residuals.size() > sys.a.cols()) {
     try {
       // After a workspace-routed solve the workspace still caches this
-      // exact system, so its product-cache gram (bit-exact with
-      // sys.a.gram()) spares a second pass over the full matrix. The
-      // dimension check guards the p > kSmallMaxCols case, where the
-      // solver falls back to the legacy path without loading.
-      const bool ws_gram = ws_holds_system && config_.workspace->loaded() &&
-                           config_.workspace->rows() == sys.a.rows() &&
-                           config_.workspace->cols() == sys.a.cols();
+      // exact system, so its column-major gram (bit-exact with
+      // sys.a.gram()) spares a second pass over the row-major matrix.
       const linalg::Matrix cov = linalg::inverse(
-          ws_gram ? config_.workspace->gram_matrix() : sys.a.gram());
+          oc.ws_holds_system ? ws.gram_matrix() : sys.a.gram());
       const double dof = static_cast<double>(sol.residuals.size()) -
                          static_cast<double>(sys.a.cols());
       double ss = 0.0;

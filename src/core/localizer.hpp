@@ -70,10 +70,10 @@ struct LocalizerConfig {
   RansacOptions ransac{};
 
   /// Optional non-owning solver scratch for the RANSAC / IRLS-family
-  /// methods: when set, their per-solve storage comes from this workspace
-  /// instead of the heap (results are bit-identical either way). The
-  /// workspace must outlive the localizer and must not be shared across
-  /// threads; the batch engine wires one per pool worker.
+  /// methods and the condition estimate; null means this thread's
+  /// linalg::default_workspace(). Results are bit-identical either way.
+  /// A caller-owned workspace must outlive the localizer and must not be
+  /// shared across threads.
   linalg::SolverWorkspace* workspace = nullptr;
 };
 
@@ -106,13 +106,12 @@ struct LocalizationResult {
   /// coordinates (excludes d_r). Zero for a noise-free exact fit.
   double position_sigma = 0.0;
 
-  // Warm-start capture (not serialized into reports): consensus-solver
-  // internals the incremental calibrate path re-seeds and gates from.
+  // Consensus-solver diagnostics (not serialized into reports).
   /// False when the kRansac solve took the full-row robust fallback
   /// (true for every non-RANSAC method, which trivially use all rows).
   bool consensus = true;
   /// LMedS robust scale of the winning consensus candidate (0 outside the
-  /// kRansac consensus branch) — the robust-scale drift gate's reference.
+  /// kRansac consensus branch).
   double consensus_scale = 0.0;
   /// Inlier threshold the consensus mask was cut at (0 outside the
   /// kRansac consensus branch).
@@ -126,9 +125,10 @@ struct LocalizationResult {
 struct SolveOutcome {
   linalg::LstsqResult solution;
   double inlier_fraction = 1.0;
-  /// True when `config().workspace` still caches exactly this system (its
-  /// product-cache gram then backs the GDOP covariance, bit-exact with
-  /// sys.a.gram()).
+  /// True when the localizer's workspace (`config().workspace`, else this
+  /// thread's linalg::default_workspace()) still caches exactly this
+  /// system: its gram then backs the GDOP covariance, bit-exact with
+  /// sys.a.gram().
   bool ws_holds_system = false;
   bool consensus = true;
   double consensus_scale = 0.0;
@@ -156,8 +156,9 @@ class LinearLocalizer {
 
   /// Build the exact linear system locate_with_pairs would solve — same
   /// validation, frame analysis, reference choice, and build_system call,
-  /// with the same exceptions — without solving it. Exposed for the
-  /// incremental calibrate path, which substitutes its own warm solve.
+  /// with the same exceptions — without solving it. Exposed for callers
+  /// that run (or time) the solve themselves, then hand it to
+  /// assemble_result.
   LinearSystem prepare_system(const signal::PhaseProfile& profile,
                               const std::vector<IndexPair>& pairs,
                               TrajectoryFrame& frame) const;

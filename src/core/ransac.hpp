@@ -47,8 +47,7 @@ struct RansacResult {
   /// `solution` is the full-row robust-IRLS fallback.
   bool consensus = false;
   /// LMedS robust scale of the winning candidate (small-sample-corrected
-  /// 1.4826 * sqrt(median r^2)); 0 on the full-row fallback. Captured so
-  /// warm-start callers can gate on robust-scale drift between solves.
+  /// 1.4826 * sqrt(median r^2)); 0 on the full-row fallback.
   double scale = 0.0;
   /// Inlier threshold the consensus mask was cut at (derived 2.5 * scale
   /// with the 1e-12 floor, or the caller's absolute threshold); 0 on the
@@ -56,19 +55,21 @@ struct RansacResult {
   double threshold = 0.0;
 };
 
-/// Solve A x = b by LMedS consensus sampling + robust refit. Requires
-/// b.size() == a.rows(); throws std::invalid_argument otherwise or when
-/// the system is underdetermined (fewer rows than columns).
+/// Solve A x = b by LMedS consensus sampling + robust refit on this
+/// thread's linalg::default_workspace(). Throws std::invalid_argument when
+/// b.size() != a.rows(), when the system is underdetermined (fewer rows
+/// than columns), or unless 1 <= a.cols() <= linalg::kSmallMaxCols (every
+/// LION system has at most four unknowns).
 RansacResult ransac_solve(const linalg::Matrix& a,
                           const std::vector<double>& b,
                           const RansacOptions& options = {});
 
-/// Same solve through a caller-owned SolverWorkspace: bit-identical
-/// results, but for systems with cols <= linalg::kSmallMaxCols every
-/// sampling iteration, score, and refit runs on the workspace's cached
-/// row products and scratch buffers — a warmed workspace makes the whole
-/// consensus loop allocation-free apart from the returned result. The
-/// workspace is (re)loaded with this system.
+/// Same solve through a caller-owned SolverWorkspace: every sampling
+/// iteration, score, and refit runs on the workspace's cached columns and
+/// scratch buffers, so a warmed workspace makes the whole consensus loop
+/// allocation-free apart from the returned result. The workspace is
+/// (re)loaded with this system; results never depend on which workspace
+/// ran the solve.
 RansacResult ransac_solve(const linalg::Matrix& a,
                           const std::vector<double>& b,
                           const RansacOptions& options,
@@ -86,20 +87,12 @@ void ransac_solve(const linalg::Matrix& a, const std::vector<double>& b,
 /// row; any other length is treated as no prior). A still-valid prior sets
 /// the LMedS bar immediately, so the median prescreen rejects most random
 /// candidates in one comparison pass; a stale prior simply loses the
-/// tournament. With an empty prior this is bit-identical to ransac_solve.
+/// tournament. With an empty prior this is bit-identical to ransac_solve,
+/// and it throws as ransac_solve does.
 void ransac_solve_warm(const linalg::Matrix& a, const std::vector<double>& b,
                        const RansacOptions& options,
                        linalg::SolverWorkspace& ws,
                        const std::vector<char>& prior_inliers,
                        RansacResult& out);
-
-/// The consensus path's full-row fallback, exposed for warm-path callers
-/// that must reproduce the batch branch bit-for-bit: a Huber-IRLS (per
-/// `options.refit_loss`) over every row already loaded into `ws`, with the
-/// classic solver's exceptions re-raised on failure. `iterations` is
-/// recorded verbatim in the result.
-void ransac_full_row_fallback(linalg::SolverWorkspace& ws,
-                              const RansacOptions& options,
-                              std::size_t iterations, RansacResult& out);
 
 }  // namespace lion::core

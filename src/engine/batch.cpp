@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "engine/thread_pool.hpp"
-#include "linalg/small.hpp"
 #include "obs/obs.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trajectory.hpp"
@@ -78,17 +77,15 @@ BatchResult BatchEngine::run(const std::vector<CalibrationJob>& jobs) const {
         JobResult& slot = out.results[i];
         slot.id = job.id;
         LION_OBS_SPAN_TAGGED(obs::Stage::kJob, job.id);
-        // One solver workspace per pool thread: after the first job warms
-        // it, the per-job RANSAC/IRLS core stops allocating. Safe because
-        // a task runs on exactly one worker and never shares the
-        // workspace (results are workspace-independent anyway).
-        thread_local linalg::SolverWorkspace solver_ws;
+        // The solves run on this pool thread's
+        // linalg::default_workspace(): after the first job warms it, the
+        // per-job RANSAC/IRLS core stops allocating (results are
+        // workspace-independent anyway).
         try {
-          slot.report = job.work
-                            ? job.work(job)
-                            : core::calibrate_antenna_robust(
-                                  job.samples, job.physical_center, job.config,
-                                  &solver_ws);
+          slot.report = job.work ? job.work(job)
+                                 : core::calibrate_antenna_robust(
+                                       job.samples, job.physical_center,
+                                       job.config);
         } catch (const std::exception& e) {
           slot.threw = true;
           slot.error = e.what();

@@ -80,14 +80,6 @@ LstsqResult solve_least_squares(const Matrix& a,
   return out;
 }
 
-std::vector<double> solve_least_squares_solution(const Matrix& a,
-                                                 const std::vector<double>& b) {
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("solve_least_squares: rhs size mismatch");
-  }
-  return solve_normal_or_qr(a, b, nullptr);
-}
-
 SolveStatus try_solve_least_squares(const Matrix& a,
                                     const std::vector<double>& b,
                                     std::vector<double>& x) {
@@ -499,14 +491,7 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
 void solve_irls(const Matrix& a, const std::vector<double>& b,
                 const IrlsOptions& options, SolverWorkspace& ws,
                 LstsqResult& out) {
-  if (a.cols() == 0 || a.cols() > kSmallMaxCols) {
-    out = solve_irls(a, b, options);
-    return;
-  }
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("solve_least_squares: rhs size mismatch");
-  }
-  ws.load(a, b);
+  ws.load(a, b);  // rejects cols outside [1, kSmallMaxCols] and bad rhs
   const SolveStatus st = solve_irls_masked(ws, nullptr, a.rows(), options, out);
   if (st == SolveStatus::kUnderdetermined) {
     throw std::domain_error("least squares: underdetermined system");

@@ -47,13 +47,6 @@ class SolverWorkspace;
 /// system is rank deficient.
 LstsqResult solve_least_squares(const Matrix& a, const std::vector<double>& b);
 
-/// Solution-only ordinary least squares: identical x to
-/// solve_least_squares (same solve, same throws) without the residual /
-/// mean / rms diagnostics — for callers like the RANSAC sampling loop
-/// that discard everything but x.
-std::vector<double> solve_least_squares_solution(const Matrix& a,
-                                                 const std::vector<double>& b);
-
 /// Non-throwing solution-only least squares. Writes x and returns kOk, or
 /// returns a failure status exactly when solve_least_squares would throw
 /// std::domain_error (kUnderdetermined for rows < cols, kRankDeficient
@@ -96,11 +89,13 @@ LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
                        const IrlsOptions& options = {});
 
 /// IRLS through a SolverWorkspace: bit-identical results to the overload
-/// above (same operations in the same order), but for systems with
-/// cols <= kSmallMaxCols all per-iteration storage comes from the
-/// workspace, so a warmed workspace makes repeated solves allocation-free
-/// outside the returned result. Wider systems fall through to the classic
-/// path. Note: (re)loads `ws` with this system.
+/// above (same operations in the same order), but all per-iteration
+/// storage comes from the workspace, so a warmed workspace makes repeated
+/// solves allocation-free outside the returned result. Throws
+/// std::invalid_argument unless 1 <= cols <= kSmallMaxCols (every LION
+/// system has at most four unknowns) and on a rhs size mismatch, and
+/// std::domain_error where the overload above would. Note: (re)loads `ws`
+/// with this system.
 LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
                        const IrlsOptions& options, SolverWorkspace& ws);
 

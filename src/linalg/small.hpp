@@ -100,14 +100,14 @@ struct ColumnSystem {
 };
 
 /// Reusable scratch for the consensus/IRLS solver stack. One workspace
-/// per thread (the batch engine keeps one per pool worker); load() caches
-/// a system column by column, and the public buffers back every
+/// per thread (default_workspace() below, or a caller-owned one); load()
+/// caches a system column by column, and the public buffers back every
 /// intermediate the solvers need. All storage grows geometrically and
 /// never shrinks, so a warmed workspace makes the steady-state solve loop
 /// allocation-free (asserted by tests/perf/test_alloc.cpp).
 ///
-/// A workspace never affects results — solves through a workspace are
-/// bit-identical to the allocating general path.
+/// A workspace never affects results — solves through any workspace are
+/// bit-identical to the Matrix-based reference solvers in lstsq.hpp.
 class SolverWorkspace {
  public:
   SolverWorkspace() = default;
@@ -151,6 +151,14 @@ class SolverWorkspace {
   std::vector<double> cols_;  ///< n x p design matrix, column-major
   std::vector<double> b_;
 };
+
+/// This thread's default workspace: the scratch a solve uses when its
+/// caller supplies none (a LinearLocalizer without
+/// LocalizerConfig::workspace, the three-argument ransac_solve, the batch
+/// engine's and the serving layer's pool workers). Each solve reloads it,
+/// so a caller reads what one solve left there only before the next
+/// default-workspace solve on the same thread.
+SolverWorkspace& default_workspace();
 
 // Row-parallel kernels over a ColumnSystem. One SIMD lane is one row and
 // performs exactly the scalar operations of that row: the residual is
@@ -218,35 +226,6 @@ class IncrementalNormals {
   /// Remove a previously appended row. Requires rows() > 0.
   void downdate(const double* a, double k);
 
-  /// Weighted rank-1 update: G += w a a^T, c += a (w k), kk += (w k) k.
-  /// Keeps the legacy weighted-gram multiplication order ((w * a_i) * a_j
-  /// and a_c * (w * k), the Matrix::weighted_gram order) so a gram
-  /// assembled by weighted appends in row order is bit-exact with
-  /// Matrix::weighted_gram on the materialized system. append(a, k) and
-  /// append_weighted(a, k, 1.0) differ in rounding (the unweighted form
-  /// has no multiply by w); callers must not mix them for the same rows.
-  void append_weighted(const double* a, double k, double w);
-  /// Remove a previously weight-appended row: subtracts exactly the
-  /// products append_weighted(a, k, w) added. Requires rows() > 0.
-  void downdate_weighted(const double* a, double k, double w);
-  /// Re-weight a resident row in place without rebuilding: per entry,
-  /// subtract the w_old product then add the w_new product — bit-identical
-  /// to downdate_weighted(a, k, w_old) followed by append_weighted(a, k,
-  /// w_new), in one O(p^2) pass, without touching rows(). The new mass
-  /// still counts toward cancellation() (traffic is monotone), so long
-  /// re-weight chains trip the rebuild gate like append/downdate chains.
-  void reweight(const double* a, double k, double w_old, double w_new);
-
-  /// Accumulated weight mass: sum of w over live rows, counting each
-  /// unweighted append/downdate as w = 1.
-  double weight_sum() const { return wsum_; }
-
-  /// Weighted residual sum of squares sum_i w_i r_i^2 of `x` over the
-  /// accumulated rows, from the maintained quantities only (valid when the
-  /// accumulator was built with the weighted mutators). Cancellation can
-  /// push the quadratic form slightly negative; it is clamped at zero.
-  double weighted_rss(const double* x) const;
-
   /// Solve G x = c by the small Cholesky kernel; false when the
   /// accumulated gram is not SPD (degenerate or downdated-to-noise).
   bool solve(double* x) const;
@@ -275,7 +254,6 @@ class IncrementalNormals {
   double c_[kSmallMaxCols] = {};
   double kk_ = 0.0;          ///< sum of k^2 over live rows
   double added_diag_ = 0.0;  ///< diagonal mass ever appended (monotone)
-  double wsum_ = 0.0;        ///< weight mass over live rows
 };
 
 /// g += the outer products a_r a_r^T of `rows[0..m)` (in that order) and

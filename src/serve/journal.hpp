@@ -71,8 +71,8 @@ enum class JournalRecordType : std::uint8_t {
   kFlush = 4,       ///< flush boundary (line empty)
   kPoseTick = 5,    ///< pose tick emitted for this session (line empty)
   kCalFlush = 6,    ///< calibrate flush decided (line empty)
-  kCalAnchor = 7,   ///< incremental-cal anchor installed; line = decimal
-                    ///< sample count the anchoring batch solve consumed
+  kCalAnchor = 7,   ///< calibrate report memo installed; line = decimal
+                    ///< sample count the memoized full solve consumed
 };
 
 /// One decoded record.

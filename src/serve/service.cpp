@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/calibration.hpp"
-#include "linalg/small.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/process.hpp"
@@ -405,6 +405,9 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
 
 void StreamService::replay_records(StreamSession& session,
                                    const RecoveredSession& rec) {
+  // Sample count of the last kCalAnchor record: the memo the session held
+  // at the crash, rebuilt with one solve once the buffer is replayed.
+  std::optional<std::size_t> memo_samples;
   for (const JournalRecord& record : rec.records) {
     switch (record.type) {
       case JournalRecordType::kDeclare:
@@ -439,42 +442,33 @@ void StreamService::replay_records(StreamSession& session,
       case JournalRecordType::kCalFlush:
         // The report was delivered before the crash, and a calibrate
         // flush never carves the buffer — only the flush count advances.
-        // Anchor state replays from kCalAnchor records alone: a memo or
-        // warm decision leaves the solver untouched by contract, and a
-        // fallback's install was journaled separately when it completed.
+        // The memo replays from kCalAnchor records alone: a memo answer
+        // leaves it untouched, and a full solve's install was journaled
+        // separately when it completed.
         ++session.flushes;
         break;
       case JournalRecordType::kCalAnchor: {
         if (session.config.mode != SessionMode::kCalibrate) break;
-        // Re-run the batch solve the live path ran, over the recorded
-        // sample-count prefix — the pipeline is deterministic, so the
-        // restored anchor (digest, report bytes, per-candidate warm
-        // state) is identical to the pre-crash one.
         char* end = nullptr;
         const unsigned long long n =
             std::strtoull(record.line.c_str(), &end, 10);
         if (end == record.line.c_str() || n > session.buffer.size()) break;
-        ensure_cal_solver(session);
-        if (!session.cal) break;
-        try {
-          const std::vector<sim::PhaseSample> prefix(
-              session.buffer.begin(),
-              session.buffer.begin() + static_cast<std::ptrdiff_t>(n));
-          thread_local linalg::SolverWorkspace solver_ws;
-          const core::CalibrationReport report =
-              core::calibrate_antenna_robust(prefix, session.config.center,
-                                             session.config.calibration,
-                                             &solver_ws);
-          session.cal->install_anchor(prefix, report);
-        } catch (...) {
-          // A solver that cannot reproduce the anchor falls back to cold
-          // (every post-restore flush takes the batch path) — degraded,
-          // never wrong.
-          session.cal->reset();
-        }
+        memo_samples = static_cast<std::size_t>(n);
         break;
       }
     }
+  }
+  if (memo_samples) {
+    // Re-run the full solve the live path ran over the recorded prefix.
+    // The pipeline is deterministic, so the restored memo (digest and
+    // report bytes) is the pre-crash one; installs only ever grew the
+    // memo, so the last record names it.
+    const std::vector<sim::PhaseSample> prefix(
+        session.buffer.begin(),
+        session.buffer.begin() + static_cast<std::ptrdiff_t>(*memo_samples));
+    session.cal_memo.install(
+        prefix, core::calibrate_antenna_robust(prefix, session.config.center,
+                                               session.config.calibration));
   }
 }
 
@@ -712,14 +706,14 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
   if (again == sessions_.end()) return false;
   if (again->second.config.mode == SessionMode::kCalibrate &&
       !cfg_.reject_when_busy) {
-    // Decision determinism: the anchor visible to this flush must be a
-    // function of the input lines alone, and anchors are installed by
-    // pool workers when a full solve completes. Waiting out the session's
-    // own pending solves pins the decision; the reorder buffer already
-    // queues this flush's response behind theirs, so the wait adds no
-    // output latency. Reject mode trades exactly this class of timing
+    // Decision determinism: the memo visible to this flush must be a
+    // function of the input lines alone, and memos are installed by pool
+    // workers when a full solve completes. Waiting out the session's own
+    // pending solves pins the decision; the reorder buffer already queues
+    // this flush's response behind theirs, so the wait adds no output
+    // latency. Reject mode trades exactly this class of timing
     // sensitivity for never blocking ingest — there the decision runs
-    // against whatever anchor is installed right now.
+    // against whatever memo is installed right now.
     cv_.wait(lock, [this, &id] {
       const auto it = sessions_.find(id);
       return it == sessions_.end() || it->second.in_flight == 0;
@@ -731,52 +725,41 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
   if (session.config.mode == SessionMode::kCalibrate) {
     // The buffer is cumulative: flush solves everything seen so far and
     // keeps accepting — exactly the batch pipeline over the same rows.
-    // The incremental tier (anchor-digest memo + warm-started sweep)
-    // answers inline on the ingest thread when its gates hold — the
-    // decision is deterministic and allocation-light, so it stays inside
-    // the sequenced section like a pose tick. Any decline schedules the
-    // full batch solve; its completion installs the session's next
-    // anchor (and journals kCalAnchor) in run_request.
-    ensure_cal_solver(session);
-    core::CalFlushDecision decision;
+    // While the buffer is still exactly the prefix the session's last
+    // completed full solve consumed, the memo answers inline on the
+    // ingest thread (a size check and a digest, sequenced like a pose
+    // tick). Otherwise the full solve is scheduled; its completion
+    // installs the next memo (and journals kCalAnchor) in run_request.
+    ++stats_.cal_flushes;
+    LION_OBS_COUNT("serve.cal_flushes", 1);
     const std::uint64_t solve_start = obs::trace_now_ns();
-    if (session.cal) decision = session.cal->flush(session.buffer);
-    count_cal_decision(decision);
-    if (decision.report_ready) {
+    const core::CalibrationReport* memo =
+        session.cal_memo.lookup(session.buffer);
+    std::uint64_t seq = 0;
+    std::string response;
+    if (memo != nullptr) {
+      ++stats_.cal_memo;
+      LION_OBS_COUNT("serve.cal_memo", 1);
       record_span(session, current_trace_id(), obs::Stage::kServeSolve,
                   solve_start, obs::trace_now_ns());
       ++stats_.reports;
       ++session.requests;
-      const std::uint64_t seq = reserve_seq();
-      std::string response =
-          report_response(id, seq, decision.report,
-                          core::cal_flush_source_name(decision.source));
-      // Same durability boundary as the scheduled path: the decision is
-      // journaled and fsynced before the ack leaves the service.
-      journal_append(session, JournalRecordType::kCalFlush, "");
-      if (session.journal && !session.journal_degraded) {
-        const std::uint64_t sync_start = obs::trace_now_ns();
-        session.journal->sync();
-        record_span(session, current_trace_id(), obs::Stage::kJournalSync,
-                    sync_start, obs::trace_now_ns());
-      }
-      emit(seq, std::move(response), current_origin_);
-      return true;
+      seq = reserve_seq();
+      response = report_response(id, seq, *memo, "memo");
+    } else {
+      ++stats_.cal_fallbacks;
+      LION_OBS_COUNT("serve.cal_fallbacks", 1);
+      SolveRequest request;
+      request.session = id;
+      request.mode = session.config.mode;
+      request.config = session.config;
+      request.samples = session.buffer;
+      request.cal_flush = true;
+      schedule(lock, std::move(request));
     }
-    if (!decision.detail.empty()) {
-      event(obs::Severity::kInfo, "cal_fallback", id, decision.detail,
-            session.buffer.size());
-    }
-    SolveRequest request;
-    request.session = id;
-    request.mode = session.config.mode;
-    request.config = session.config;
-    request.samples = session.buffer;
-    request.cal_flush = true;
-    schedule(lock, std::move(request));
     // Flush is the client's durability boundary: journal it and force the
     // batched fsync so an acked flush survives an OS crash, not just a
-    // process kill.
+    // process kill. A memo answer leaves the service only after that.
     journal_append(session, JournalRecordType::kCalFlush, "");
     if (session.journal && !session.journal_degraded) {
       const std::uint64_t sync_start = obs::trace_now_ns();
@@ -784,6 +767,7 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
       record_span(session, current_trace_id(), obs::Stage::kJournalSync,
                   sync_start, obs::trace_now_ns());
     }
+    if (memo != nullptr) emit(seq, std::move(response), current_origin_);
     return true;
   }
   SolveRequest request;
@@ -808,69 +792,6 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
                 sync_start, obs::trace_now_ns());
   }
   return true;
-}
-
-void StreamService::ensure_cal_solver(StreamSession& session) {
-  if (session.cal || session.config.mode != SessionMode::kCalibrate) return;
-  try {
-    core::IncrementalCalConfig cal_cfg;
-    cal_cfg.physical_center = session.config.center;
-    cal_cfg.calibration = session.config.calibration;
-    session.cal =
-        std::make_unique<core::IncrementalCalibrationSolver>(cal_cfg);
-  } catch (...) {
-    // A session without a solver still serves: every flush takes the
-    // batch path (counted as a cold fallback), nothing is silently lost.
-    session.cal.reset();
-  }
-}
-
-void StreamService::count_cal_decision(
-    const core::CalFlushDecision& decision) {
-  ++stats_.cal_flushes;
-  LION_OBS_COUNT("serve.cal_flushes", 1);
-  switch (decision.source) {
-    case core::CalFlushSource::kMemo:
-      ++stats_.cal_memo;
-      LION_OBS_COUNT("serve.cal_memo", 1);
-      return;
-    case core::CalFlushSource::kIncremental:
-      ++stats_.cal_incremental;
-      LION_OBS_COUNT("serve.cal_incremental", 1);
-      return;
-    case core::CalFlushSource::kFallback:
-      break;
-  }
-  ++stats_.cal_fallbacks;
-  LION_OBS_COUNT("serve.cal_fallbacks", 1);
-  switch (decision.reason) {
-    case core::CalFallbackReason::kNone:
-      break;
-    case core::CalFallbackReason::kCold:
-      ++stats_.cal_fb_cold;
-      break;
-    case core::CalFallbackReason::kStatus:
-      ++stats_.cal_fb_status;
-      break;
-    case core::CalFallbackReason::kCarve:
-      ++stats_.cal_fb_carve;
-      break;
-    case core::CalFallbackReason::kDelta:
-      ++stats_.cal_fb_delta;
-      break;
-    case core::CalFallbackReason::kRows:
-      ++stats_.cal_fb_rows;
-      break;
-    case core::CalFallbackReason::kDrift:
-      ++stats_.cal_fb_drift;
-      break;
-    case core::CalFallbackReason::kCancellation:
-      ++stats_.cal_fb_cancellation;
-      break;
-    case core::CalFallbackReason::kSweep:
-      ++stats_.cal_fb_sweep;
-      break;
-  }
 }
 
 void StreamService::handle_pose_tick(std::unique_lock<std::mutex>& lock,
@@ -1034,9 +955,8 @@ void StreamService::run_request(SolveRequest& request) {
   bool failed = false;
   std::string response;
   // A completed calibrate flush carries its report out of the try block:
-  // the accounting pass installs it as the session's next incremental
-  // anchor (never on timeout — a deadline report is not the batch answer
-  // for these rows and would poison the memo tier).
+  // the accounting pass installs it as the session's next memo (never on
+  // timeout — a deadline report is not the batch answer for these rows).
   core::CalibrationReport cal_report;
   bool cal_solved = false;
   const std::uint64_t solve_start = obs::trace_now_ns();
@@ -1050,10 +970,9 @@ void StreamService::run_request(SolveRequest& request) {
         report.diagnostics.message =
             "serve: request exceeded its deadline before solving";
       } else {
-        thread_local linalg::SolverWorkspace solver_ws;
-        report = core::calibrate_antenna_robust(
-            request.samples, request.config.center,
-            request.config.calibration, &solver_ws);
+        report = core::calibrate_antenna_robust(request.samples,
+                                                request.config.center,
+                                                request.config.calibration);
         cal_solved = true;
       }
       response =
@@ -1107,20 +1026,13 @@ void StreamService::run_request(SolveRequest& request) {
       // Telemetry for the completed request: queue wait (schedule to
       // worker pickup), the solve itself, and the session's RED series.
       StreamSession& session = it->second;
-      if (request.cal_flush && cal_solved && !failed) {
-        // Adopt-before-decide: the session kept accepting while this
-        // solve ran, so the anchor is installed over the request's row
-        // snapshot (append-only buffers make any same-or-larger later
-        // anchor a superset — never regress to an older one when two
-        // fallback solves complete out of order).
-        ensure_cal_solver(session);
-        if (session.cal &&
-            (!session.cal->has_anchor() ||
-             request.samples.size() > session.cal->anchor_samples())) {
-          session.cal->install_anchor(request.samples, cal_report);
-          journal_append(session, JournalRecordType::kCalAnchor,
-                         std::to_string(request.samples.size()));
-        }
+      // The session kept accepting while this solve ran, so the memo is
+      // keyed by the request's row snapshot; CalMemo::install keeps the
+      // larger of two solves that complete out of order.
+      if (request.cal_flush && cal_solved && !failed &&
+          session.cal_memo.install(request.samples, std::move(cal_report))) {
+        journal_append(session, JournalRecordType::kCalAnchor,
+                       std::to_string(request.samples.size()));
       }
       record_span(session, request.trace_id, obs::Stage::kQueueWait,
                   request.enqueue_ns, solve_start);
@@ -1209,16 +1121,7 @@ void StreamService::emit_stats_response() {
   field("tick_fallbacks", stats_.tick_fallbacks);
   field("cal_flushes", stats_.cal_flushes);
   field("cal_memo", stats_.cal_memo);
-  field("cal_incremental", stats_.cal_incremental);
   field("cal_fallbacks", stats_.cal_fallbacks);
-  field("cal_fb_cold", stats_.cal_fb_cold);
-  field("cal_fb_status", stats_.cal_fb_status);
-  field("cal_fb_carve", stats_.cal_fb_carve);
-  field("cal_fb_delta", stats_.cal_fb_delta);
-  field("cal_fb_rows", stats_.cal_fb_rows);
-  field("cal_fb_drift", stats_.cal_fb_drift);
-  field("cal_fb_cancellation", stats_.cal_fb_cancellation);
-  field("cal_fb_sweep", stats_.cal_fb_sweep);
   field("ticks", clock_ticks_);
   if (cfg_.shard_count > 1) {
     // Sharded servers answer !stats once per shard; the annotation lets a
@@ -1275,7 +1178,6 @@ void StreamService::emit_health_response() {
   field("tick_fallbacks", stats_.tick_fallbacks);
   field("cal_flushes", stats_.cal_flushes);
   field("cal_memo", stats_.cal_memo);
-  field("cal_incremental", stats_.cal_incremental);
   field("cal_fallbacks", stats_.cal_fallbacks);
   out += ",\"journal_enabled\":";
   out += cfg_.journal != nullptr ? "true" : "false";
@@ -1314,9 +1216,8 @@ void StreamService::emit_health_response() {
       out, all_ticks == 0 ? 0.0
                           : static_cast<double>(stats_.tick_fallbacks) /
                                 static_cast<double>(all_ticks));
-  // Same story for calibrate flushes: a rising ratio means the warm
-  // tier's gates are tripping and `!flush` is paying full batch cost —
-  // the per-reason cal_fb_* split in `!stats` says which gate.
+  // Same story for calibrate flushes: a rising ratio means `!flush` is
+  // paying the full batch cost instead of answering from the memo.
   out += ",\"cal_fallback_ratio\":";
   obs::append_json_number(
       out, stats_.cal_flushes == 0

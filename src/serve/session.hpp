@@ -13,12 +13,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/calibration.hpp"
 #include "core/incremental.hpp"
-#include "core/incremental_cal.hpp"
 #include "core/tracker.hpp"
 #include "io/csv.hpp"
 #include "obs/obs.hpp"
@@ -72,6 +72,36 @@ bool make_session_config(const ParsedLine& line, SessionConfig& out,
 /// the IncrementalTrackConfig defaults.
 core::IncrementalTrackConfig incremental_config(const SessionConfig& config);
 
+/// Order-dependent FNV-1a digest of buffer[0, min(count, size)) over the
+/// bit patterns of every sample field, in stream order. Bitwise, so -0.0
+/// vs 0.0 and NaN payloads count as changes: the memo must never equate
+/// buffers the solver could distinguish.
+std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer,
+                                std::size_t count);
+
+/// A calibrate session's report memo: the report of its last completed
+/// full solve, keyed by the sample count that solve consumed and the
+/// digest of that prefix. Calibrate buffers are append-only and the
+/// pipeline is deterministic, so while the buffer is exactly the memoized
+/// prefix the memoized report IS the batch answer, whatever its status.
+struct CalMemo {
+  std::size_t samples = 0;
+  std::uint64_t digest = 0;
+  std::optional<core::CalibrationReport> report;
+
+  /// Adopt `solved`, the report of a full solve over exactly `buffer`,
+  /// unless the memo already holds a solve of as many or more samples
+  /// (solves may complete out of order; buffers only grow). Returns
+  /// whether it was adopted.
+  bool install(const std::vector<sim::PhaseSample>& buffer,
+               core::CalibrationReport solved);
+
+  /// The memoized report when `buffer` is exactly the memoized prefix,
+  /// else nullptr.
+  const core::CalibrationReport* lookup(
+      const std::vector<sim::PhaseSample>& buffer) const;
+};
+
 /// One demultiplexed stream.
 struct StreamSession {
   std::string id;
@@ -101,13 +131,11 @@ struct StreamSession {
   std::unique_ptr<core::IncrementalTrackSolver> incremental;
   std::uint64_t ticks_emitted = 0;  ///< pose ticks answered (both paths)
 
-  /// Calibrate mode: the per-session incremental flush solver (memo +
-  /// warm-started sweep, PR 10). Created lazily on the first `!flush`;
-  /// its anchor advances only when a *full* batch solve completes
-  /// (journaled as kCalAnchor), so replay rebuilds identical state by
-  /// re-running the batch solve over the recorded sample-count prefix.
-  /// Null for track sessions.
-  std::unique_ptr<core::IncrementalCalibrationSolver> cal;
+  /// Calibrate mode: the report memo behind `"source":"memo"` flushes.
+  /// It advances only when a full solve completes (journaled as
+  /// kCalAnchor with the sample count), so replay rebuilds it by
+  /// re-running that solve over the recorded prefix.
+  CalMemo cal_memo;
 
   /// Durability (journal-enabled services only). `journal` appends one
   /// record per applied mutation; a write failure latches
@@ -145,12 +173,9 @@ core::TrackFix solve_track_window(
 // ---------------------------------------------------------------------------
 
 /// `!flush` answer for a calibrate session (lion.report.v1). `source` is
-/// "memo" when the buffer digest still matched the anchor snapshot,
-/// "incremental" when the warm-started sweep passed every gate, and
-/// "fallback" when the full batch pipeline ran; all three serialize
-/// through this one function so the bytes differ only in the tag (and
-/// the fallback tag marks the report the other two must match byte for
-/// byte — the conformance contract of the incremental tier).
+/// "memo" when the session's CalMemo answered and "fallback" when the
+/// full batch pipeline ran; both serialize through this one function, so
+/// a memo answer differs from the solve it memoized only in the tag.
 std::string report_response(const std::string& session, std::uint64_t seq,
                             const core::CalibrationReport& report,
                             const char* source);

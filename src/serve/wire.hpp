@@ -124,11 +124,10 @@ struct ParsedLine {
   std::optional<std::size_t> window;
   std::optional<std::size_t> hop;
   std::optional<std::size_t> dim;
-  /// Calibrate only: preprocess moving-average width (1 disables). The
-  /// default (library) width re-smooths old samples whenever the buffer
-  /// grows, which keeps the incremental flush tier on its drift gate; a
-  /// client that wants warm `!flush` answers on a clean rig declares
-  /// smoothing=1.
+  /// Calibrate only: preprocess moving-average width (1 disables). Sets
+  /// the session's RobustCalibrationConfig::preprocess.smoothing_window,
+  /// so every `!flush` report is the batch pipeline's answer under that
+  /// width (the default is the library width).
   std::optional<std::size_t> smoothing;
 
   // kTick payload:

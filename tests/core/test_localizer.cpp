@@ -5,7 +5,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "linalg/small.hpp"
 #include "rf/phase_model.hpp"
 #include "rf/rng.hpp"
 
@@ -180,6 +182,65 @@ TEST(Localizer, CustomPairsPath) {
   const auto pairs = spread_pairs(profile, 0.2, 300);
   const auto r = LinearLocalizer(cfg).locate_with_pairs(profile, pairs);
   EXPECT_NEAR(linalg::distance(r.position, {0.1, 0.7, 0.0}), 0.0, 1e-5);
+}
+
+TEST(Localizer, WorkspaceNeverChangesResults) {
+  // Every method runs one code path: a null LocalizerConfig::workspace
+  // means this thread's default workspace. Results must equal those of an
+  // explicit caller workspace bit for bit — even one left holding a
+  // different system by an earlier solve.
+  std::vector<Vec3> three_lines = two_lines_2d();
+  const auto l3 = dense_line(-0.5, 0.5, 0.0, 0.2);
+  three_lines.insert(three_lines.end(), l3.begin(), l3.end());
+  // (scan, target_dim): planar 2D, planar 3D with perpendicular recovery,
+  // and full-rank 3D — each with a 1-in-7 block of phase outliers.
+  struct Case {
+    std::vector<Vec3> scan;
+    std::size_t dim;
+  };
+  const Case cases[] = {{two_lines_2d(), 2}, {two_lines_2d(), 3},
+                        {three_lines, 3}};
+  const auto other = synthetic(two_lines_2d(), {0.1, 0.7, 0.0}, 0.05, 3);
+  for (const SolveMethod method :
+       {SolveMethod::kLeastSquares, SolveMethod::kWeightedLeastSquares,
+        SolveMethod::kIterativeReweighted, SolveMethod::kHuberIrls,
+        SolveMethod::kTukeyIrls, SolveMethod::kRansac}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(solve_method_name(method)) + " dim " +
+                   std::to_string(c.dim) + " rows " +
+                   std::to_string(c.scan.size()));
+      auto noisy = synthetic(c.scan, {0.03, 0.8, 0.1}, 0.1, 9);
+      for (std::size_t i = 0; i < noisy.size(); i += 7) noisy[i].phase += 1.5;
+      LocalizerConfig cfg;
+      cfg.target_dim = c.dim;
+      cfg.method = method;
+      cfg.side_hint = Vec3{0.0, 1.0, 1.0};
+      const LocalizationResult def = LinearLocalizer(cfg).locate(noisy);
+
+      linalg::SolverWorkspace ws;
+      cfg.workspace = &ws;
+      LocalizerConfig warm = cfg;
+      warm.target_dim = 2;
+      (void)LinearLocalizer(warm).locate(other);  // leave ws dirty
+      const LocalizationResult own = LinearLocalizer(cfg).locate(noisy);
+
+      EXPECT_EQ(own.position, def.position);
+      EXPECT_EQ(own.reference_distance, def.reference_distance);
+      EXPECT_EQ(own.mean_residual, def.mean_residual);
+      EXPECT_EQ(own.rms_residual, def.rms_residual);
+      EXPECT_EQ(own.equations, def.equations);
+      EXPECT_EQ(own.trajectory_rank, def.trajectory_rank);
+      EXPECT_EQ(own.perpendicular_recovered, def.perpendicular_recovered);
+      EXPECT_EQ(own.solver_iterations, def.solver_iterations);
+      EXPECT_EQ(own.inlier_fraction, def.inlier_fraction);
+      EXPECT_EQ(own.condition, def.condition);
+      EXPECT_EQ(own.sigma, def.sigma);
+      EXPECT_EQ(own.position_sigma, def.position_sigma);
+      EXPECT_EQ(own.consensus, def.consensus);
+      EXPECT_EQ(own.consensus_scale, def.consensus_scale);
+      EXPECT_EQ(own.consensus_threshold, def.consensus_threshold);
+    }
+  }
 }
 
 TEST(Localizer, ValidatesConfig) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "core/ransac.hpp"
 #include "linalg/matrix.hpp"
@@ -81,6 +83,24 @@ TEST(Ransac, UnderdeterminedThrows) {
   EXPECT_THROW(core::ransac_solve(a, {1.0}), std::invalid_argument);
   linalg::Matrix a2(3, 2);
   EXPECT_THROW(core::ransac_solve(a2, {1.0}), std::invalid_argument);
+}
+
+TEST(Ransac, RejectsColumnCountsOutsideTheSmallKernel) {
+  // LION systems have at most four unknowns; the consensus solve has no
+  // second path for anything else.
+  linalg::SolverWorkspace ws;
+  core::RansacResult out;
+  for (const std::size_t cols : {std::size_t{0}, linalg::kSmallMaxCols + 1}) {
+    const linalg::Matrix a(40, cols, 1.0);
+    const std::vector<double> b(40, 1.0);
+    EXPECT_THROW(core::ransac_solve(a, b), std::invalid_argument)
+        << cols << " cols";
+    EXPECT_THROW(core::ransac_solve(a, b, {}, ws, out), std::invalid_argument)
+        << cols << " cols";
+    EXPECT_THROW(core::ransac_solve_warm(a, b, {}, ws, {}, out),
+                 std::invalid_argument)
+        << cols << " cols";
+  }
 }
 
 TEST(Ransac, MajorityContaminationDoesNotCrash) {

@@ -256,28 +256,6 @@ TEST(SolveStatusNames, AreStable) {
                "rank_deficient");
 }
 
-TEST(LeastSquares, SolutionOnlyEntryMatchesFullSolveBitExact) {
-  std::mt19937 rng(31);
-  std::uniform_real_distribution<double> d(-2.0, 2.0);
-  for (int trial = 0; trial < 25; ++trial) {
-    Matrix a(12, 3);
-    std::vector<double> b(12);
-    for (std::size_t i = 0; i < 12; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) a(i, j) = d(rng);
-      b[i] = d(rng);
-    }
-    const auto full = solve_least_squares(a, b);
-    const auto sol = solve_least_squares_solution(a, b);
-    ASSERT_EQ(sol.size(), full.x.size());
-    for (std::size_t i = 0; i < sol.size(); ++i) EXPECT_EQ(sol[i], full.x[i]);
-  }
-  // Same failure modes as the diagnostic entry point.
-  EXPECT_THROW(solve_least_squares_solution(Matrix(1, 2), {1.0}),
-               std::domain_error);
-  EXPECT_THROW(solve_least_squares_solution(Matrix(3, 2), {1.0}),
-               std::invalid_argument);
-}
-
 TEST(LeastSquares, TrySolveStatusMatchesThrowingPath) {
   std::vector<double> x;
   EXPECT_EQ(try_solve_least_squares(Matrix(1, 2), {1.0}, x),
@@ -359,6 +337,21 @@ TEST(Irls, WorkspaceOverloadBitIdenticalAcrossLosses) {
       EXPECT_EQ(got.iterations, legacy.iterations);
       EXPECT_EQ(got.converged, legacy.converged);
     }
+  }
+}
+
+TEST(Irls, WorkspaceSolveRejectsColumnCountsOutsideTheSmallKernel) {
+  // LION systems have at most four unknowns; the workspace solve has no
+  // second path for anything else.
+  SolverWorkspace ws;
+  LstsqResult out;
+  for (const std::size_t cols : {std::size_t{0}, kSmallMaxCols + 1}) {
+    const Matrix a(12, cols, 1.0);
+    const std::vector<double> b(12, 1.0);
+    EXPECT_THROW(solve_irls(a, b, {}, ws, out), std::invalid_argument)
+        << cols << " cols";
+    EXPECT_THROW(solve_irls(a, b, {}, ws), std::invalid_argument)
+        << cols << " cols";
   }
 }
 

@@ -573,12 +573,10 @@ TEST(Recovery, RestoreRebuildsIncrementalStateForPostCrashTicks) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental calibrate flushes across crashes
+// Calibrate report memo across crashes
 // ---------------------------------------------------------------------------
 
-/// Clean three-line-rig scan on the dt = 0.1 grid with full columns — the
-/// regime where the incremental calibrate solver's warm tier answers (see
-/// tests/serve/test_incremental_cal_serve.cpp).
+/// Clean three-line-rig scan on the dt = 0.1 grid with full columns.
 std::vector<std::string> cal_rig_rows() {
   sim::ThreeLineRig rig;
   rig.x_min = -0.55;
@@ -598,43 +596,46 @@ std::vector<std::string> cal_rig_rows() {
   return rows;
 }
 
-/// Declare + rows + flushes arranged so the uninterrupted run exercises
-/// all three calibrate tiers: cold fallback, memo, warm incremental.
+/// Declare + rows + flushes arranged so the uninterrupted run answers
+/// fallback, memo, fallback.
 std::vector<std::string> cal_tiered_input() {
   const auto rows = cal_rig_rows();
   const std::size_t base = rows.size() - rows.size() / 10;
   std::vector<std::string> input;
   input.push_back("!session cal center=0.009,0.789,0.006 smoothing=1");
   for (std::size_t i = 0; i < base; ++i) input.push_back(rows[i]);
-  input.push_back("!flush cal");  // cold -> fallback, installs the anchor
+  input.push_back("!flush cal");  // full solve, installs the memo
   input.push_back("!flush cal");  // unchanged buffer -> memo
   for (std::size_t i = base; i < rows.size(); ++i) input.push_back(rows[i]);
-  input.push_back("!flush cal");  // small clean append -> warm tier
+  input.push_back("!flush cal");  // appended rows -> full solve
   return input;
+}
+
+/// The serialized report payload of a lion.report.v1 line.
+std::string report_payload(const std::string& line) {
+  const auto key = line.find("\"report\":");
+  return key == std::string::npos ? std::string() : line.substr(key);
 }
 
 // Calibrate-flush crash matrix: killed at >= 24 fuzzed offsets — pinned
 // around every flush decision plus LCG fill — the resumed stream must be
 // byte-identical to the uninterrupted baseline, source tags included. A
-// restored flush may only answer memo/incremental if the replay rebuilt
-// the exact anchor state (kCalAnchor re-solve), so tag equality is state
-// equality.
+// restored flush may only answer memo if the replay rebuilt the exact
+// memo (kCalAnchor re-solve), so tag equality is state equality.
 TEST(Recovery, CalibrateFlushCrashMatrixResumesByteIdentical) {
   const auto input = cal_tiered_input();
   const auto baseline = sequenced(run_plain(input));
   ASSERT_GE(baseline.size(), 3u);
-  // The baseline itself must exercise every tier, or the matrix proves
+  // The baseline itself must exercise both answers, or the matrix proves
   // less than it claims.
-  std::size_t memo = 0, warm = 0, fallback = 0;
+  std::size_t memo = 0, fallback = 0;
   for (const auto& l : baseline) {
     if (l.find("\"schema\":\"lion.report.v1\"") == std::string::npos) continue;
     memo += l.find("\"source\":\"memo\"") != std::string::npos;
-    warm += l.find("\"source\":\"incremental\"") != std::string::npos;
     fallback += l.find("\"source\":\"fallback\"") != std::string::npos;
   }
-  ASSERT_EQ(fallback, 1u);
+  ASSERT_EQ(fallback, 2u);
   ASSERT_EQ(memo, 1u);
-  ASSERT_EQ(warm, 1u);
 
   std::set<std::size_t> cuts = {1, 2, input.size() - 1};
   for (std::size_t i = 0; i < input.size(); ++i) {
@@ -658,17 +659,17 @@ TEST(Recovery, CalibrateFlushCrashMatrixResumesByteIdentical) {
 }
 
 // Focused restore-state gate, calibrate flavor: feed the whole stream,
-// crash, and only then flush. The restored solver must answer from the
-// incremental path with exactly the bytes the pre-crash warm flush
-// produced — possible only if replay reconstructed the anchor (buffer
-// prefix + report) bit for bit.
-TEST(Recovery, PostRestoreCalibrateFlushAnswersIncremental) {
+// crash, and only then flush. The restored session must answer from the
+// memo with exactly the bytes the pre-crash full solve produced —
+// possible only if replay rebuilt the memo (buffer prefix + report) bit
+// for bit.
+TEST(Recovery, PostRestoreCalibrateFlushAnswersMemo) {
   const auto input = cal_tiered_input();
   const auto baseline = sequenced(run_plain(input));
   ASSERT_FALSE(baseline.empty());
-  const std::string& warm_report = baseline.back();
-  ASSERT_NE(warm_report.find("\"source\":\"incremental\""), std::string::npos)
-      << warm_report;
+  const std::string& last_report = baseline.back();
+  ASSERT_NE(last_report.find("\"source\":\"fallback\""), std::string::npos)
+      << last_report;
 
   TempDir dir;
   Process p1(dir.path);
@@ -685,15 +686,63 @@ TEST(Recovery, PostRestoreCalibrateFlushAnswersIncremental) {
   const auto post = sequenced(p2.lines);
   ASSERT_FALSE(post.empty());
   const std::string& restored_report = post.back();
-  EXPECT_NE(restored_report.find("\"source\":\"incremental\""),
-            std::string::npos)
+  EXPECT_NE(restored_report.find("\"source\":\"memo\""), std::string::npos)
       << restored_report;
-  // Same report payload as the pre-crash warm flush, byte for byte.
-  const auto payload = [](const std::string& line) {
-    const auto key = line.find("\"report\":");
-    return key == std::string::npos ? std::string() : line.substr(key);
-  };
-  EXPECT_EQ(payload(restored_report), payload(warm_report));
+  EXPECT_EQ(report_payload(restored_report), report_payload(last_report));
+}
+
+// Replay rebuilds the memo from the last kCalAnchor record alone, however
+// many the journal holds: three completed full solves, a crash, and the
+// restored flush still answers memo with the last solve's bytes.
+TEST(Recovery, RestoreWithThreeAnchorsAnswersMemo) {
+  const auto rows = cal_rig_rows();
+  std::vector<std::string> input;
+  input.push_back("!session cal center=0.009,0.789,0.006 smoothing=1");
+  const std::size_t step = rows.size() / 3;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    input.push_back(rows[i]);
+    if ((i + 1) % step == 0 || i + 1 == rows.size()) {
+      input.push_back("!flush cal");
+    }
+  }
+  const auto baseline = sequenced(run_plain(input));
+  ASSERT_GE(baseline.size(), 3u);
+  for (const auto& l : baseline) {
+    EXPECT_NE(l.find("\"source\":\"fallback\""), std::string::npos) << l;
+  }
+
+  TempDir dir;
+  Process p1(dir.path);
+  p1.feed(input, 0, input.size());
+  p1.crash();
+
+  std::size_t anchors = 0;
+  {
+    serve::JournalStoreConfig jcfg;
+    jcfg.dir = dir.path;
+    serve::JournalStore store(jcfg);
+    std::string error;
+    const auto rec = store.claim("cal", error);
+    ASSERT_TRUE(rec) << error;
+    for (const auto& r : rec->records) {
+      anchors += r.type == serve::JournalRecordType::kCalAnchor;
+    }
+    store.detach("cal");
+  }
+  ASSERT_GE(anchors, 3u);
+
+  Process p2(dir.path);
+  p2.service->ingest_line(input[0]);  // restore
+  ASSERT_FALSE(p2.restore_ack("cal").empty());
+  p2.service->ingest_line("!flush cal");
+  p2.service->drain();
+  p2.crash();
+
+  const auto post = sequenced(p2.lines);
+  ASSERT_EQ(post.size(), 1u);
+  EXPECT_NE(post[0].find("\"source\":\"memo\""), std::string::npos)
+      << post[0];
+  EXPECT_EQ(report_payload(post[0]), report_payload(baseline.back()));
 }
 
 // A closed session's journal is gone: re-declaring after a clean close is
