@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <limits>
 #include <stdexcept>
 
 #include "core/pairing.hpp"
@@ -74,25 +76,64 @@ AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
   if (config.ranges.empty() || config.intervals.empty()) {
     throw std::invalid_argument("locate_adaptive: empty candidate lists");
   }
-  std::vector<AdaptiveCandidate> candidates;
-  candidates.reserve(config.ranges.size() * config.intervals.size());
+  const std::size_t n_intervals = config.intervals.size();
+  // Pre-sized slots in (range, interval) order: the ranking in
+  // finalize_adaptive_sweep sees the same vector whichever thread filled
+  // which slot.
+  std::vector<AdaptiveCandidate> candidates(config.ranges.size() *
+                                            n_intervals);
 
-  for (double range : config.ranges) {
+  // One range's window and its intervals, in order. The window lives only
+  // for the task, so at most one per running thread exists at a time.
+  const auto solve_range = [&](std::size_t r, linalg::SolverWorkspace* ws) {
+    const double range = config.ranges[r];
     const auto windowed =
         restrict_to_x_range(profile, config.range_center_x, range);
-    for (double interval : config.intervals) {
-      AdaptiveCandidate cand;
+    for (std::size_t j = 0; j < n_intervals; ++j) {
+      AdaptiveCandidate& cand = candidates[r * n_intervals + j];
       cand.range = range;
-      cand.interval = interval;
-      const LocalizerConfig lc =
-          adaptive_cell_config(config, interval, windowed);
+      cand.interval = config.intervals[j];
+      LocalizerConfig lc =
+          adaptive_cell_config(config, cand.interval, windowed);
+      lc.workspace = ws;
       try {
         cand.result = LinearLocalizer(lc).locate(windowed);
         cand.usable = adaptive_candidate_usable(cand.result, config);
       } catch (const std::exception&) {
         cand.usable = false;
       }
-      candidates.push_back(std::move(cand));
+    }
+  };
+
+  if (config.executor == nullptr) {
+    for (std::size_t r = 0; r < config.ranges.size(); ++r) {
+      solve_range(r, config.base.workspace);
+    }
+  } else {
+    // Widest ranges first: a wider window holds more rows and costs more,
+    // so claiming it early shortens the tail of the fork-join. A failing
+    // range is remembered in its own slot so the rethrown error is the
+    // one the serial loop meets first.
+    std::vector<std::size_t> order(config.ranges.size());
+    for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+    const auto width = [&](std::size_t r) {
+      const double v = config.ranges[r];
+      return std::isnan(v) ? -std::numeric_limits<double>::infinity() : v;
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return width(a) > width(b);
+                     });
+    std::vector<std::exception_ptr> errors(order.size());
+    config.executor->parallel_for(order.size(), [&](std::size_t i) {
+      try {
+        solve_range(order[i], nullptr);
+      } catch (...) {
+        errors[order[i]] = std::current_exception();
+      }
+    });
+    for (const auto& e : errors) {
+      if (e) std::rethrow_exception(e);
     }
   }
 

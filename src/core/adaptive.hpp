@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/executor.hpp"
 #include "core/localizer.hpp"
 #include "signal/profile.hpp"
 
@@ -47,6 +48,13 @@ struct AdaptiveConfig {
   /// Base localizer settings (dimension, method, hints). pair_interval is
   /// overridden per candidate.
   LocalizerConfig base{};
+  /// Optional non-owning executor for the sweep; null runs the ranges one
+  /// after another on the calling thread. With one, locate_adaptive runs
+  /// one task per scanning range (widest first) and every task solves on
+  /// its own thread's linalg::default_workspace() instead of
+  /// `base.workspace`. Results are bit-identical either way. The executor
+  /// must outlive the call.
+  Executor* executor = nullptr;
 };
 
 /// Outcome of an adaptive sweep.
@@ -60,7 +68,8 @@ struct AdaptiveResult {
 };
 
 /// Run the adaptive sweep. Throws std::invalid_argument when no candidate
-/// combination yields a solvable system.
+/// combination yields a solvable system, and whatever restricting the
+/// profile to the first failing range (in `ranges` order) throws.
 AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
                                const AdaptiveConfig& config);
 

@@ -1,9 +1,55 @@
 #include "engine/thread_pool.hpp"
 
+#include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
 namespace lion::engine {
+
+namespace {
+
+// The pool whose worker this thread is (null off every pool):
+// parallel_for submits one helper fewer when the caller is already one of
+// the pool's workers.
+thread_local const ThreadPool* tl_worker_of = nullptr;
+
+// One parallel_for call's state, shared by the caller and its helpers. A
+// helper may start after the call returned, so it holds a reference; it
+// reaches `body` (the caller's) only through an index it claimed, and the
+// caller does not return before every claimed index has finished.
+struct ForkJoin {
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::size_t n = 0;
+  std::atomic<std::size_t> next{0};  ///< next index to claim
+
+  std::mutex mutex;  ///< guards the fields below
+  std::condition_variable finished;
+  std::size_t done = 0;      ///< indices whose body returned or threw
+  std::exception_ptr error;  ///< the lowest throwing index's exception
+  std::size_t error_index = 0;
+
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      std::exception_ptr thrown;
+      try {
+        (*body)(i);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (thrown && (!error || i < error_index)) {
+        error = std::move(thrown);
+        error_index = i;
+      }
+      if (++done == n) finished.notify_all();
+    }
+  }
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -75,7 +121,25 @@ bool ThreadPool::try_take(std::size_t self, Task& out) {
   return false;
 }
 
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  auto fork = std::make_shared<ForkJoin>();
+  fork->body = &body;
+  fork->n = n;
+  const std::size_t free_workers =
+      thread_count() - (tl_worker_of == this ? 1 : 0);
+  for (std::size_t h = std::min(n - 1, free_workers); h > 0; --h) {
+    submit([fork] { fork->run(); });
+  }
+  fork->run();
+  std::unique_lock<std::mutex> lock(fork->mutex);
+  fork->finished.wait(lock, [&] { return fork->done == n; });
+  if (fork->error) std::rethrow_exception(fork->error);
+}
+
 void ThreadPool::worker_loop(std::size_t self) {
+  tl_worker_of = this;
   for (;;) {
     Task task;
     if (try_take(self, task)) {

@@ -14,6 +14,10 @@
 //     per-worker deques; an idle worker first drains its own deque
 //     (LIFO, cache-friendly) and then steals from its siblings' opposite
 //     end (FIFO, contention-friendly).
+//  4. *Fork-join without blocking on the queue*: parallel_for lets the
+//     caller claim indices alongside plain submitted helper tasks and
+//     wait only for bodies that are already running, so it is safe from
+//     inside a worker (nested), from any other thread, and on one thread.
 #pragma once
 
 #include <atomic>
@@ -26,15 +30,33 @@
 #include <thread>
 #include <vector>
 
+#include "core/executor.hpp"
+
 namespace lion::engine {
 
-class ThreadPool {
+/// The pool is also a core::Executor, so a calibration can borrow it for
+/// its adaptive sweep (AdaptiveConfig::executor). parallel_for contract:
+///  - body(i) runs exactly once for each i in [0, n). Indices are claimed
+///    in ascending order from one shared counter, by the caller and by up
+///    to min(n - 1, free workers) helper tasks submitted like any other.
+///  - The caller waits only for bodies already claimed (running), never
+///    for a queued task, so a call from inside a worker, from a thread
+///    outside the pool, or on a 1-thread pool cannot deadlock; nested
+///    calls only ever wait on deeper, running bodies. Called from inside
+///    a worker of a 1-thread pool, every index runs on the caller.
+///  - A helper that starts after every index was claimed returns without
+///    touching the caller's stack: the shared state is reference-counted.
+///  - A throwing body never reaches the pool's catch-all: the throw is
+///    caught, the index still counts as done, every other index still
+///    runs, and the exception of the lowest throwing index is rethrown on
+///    the caller.
+///  - Bodies must write disjoint outputs.
+class ThreadPool final : public core::Executor {
  public:
   using Task = std::function<void()>;
 
-  /// Spawn `threads` workers (clamped to at least 1). Throws
-  /// std::invalid_argument on 0 only when `allow_inline` is false; the
-  /// engine passes explicit counts, so 0 is a caller bug.
+  /// Spawn `threads` workers. Throws std::invalid_argument on 0: callers
+  /// pass explicit counts, so 0 is a caller bug.
   explicit ThreadPool(std::size_t threads);
 
   /// Stops accepting work, wakes all workers, joins. Tasks already
@@ -47,10 +69,15 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueue a task. Thread-safe; may be called from worker threads
-  /// (nested submission), though the engine does not need it. Tasks must
-  /// not throw — a throwing task is caught, counted, and dropped so one
-  /// bad job can never take the pool down.
+  /// (nested submission): the serving layer's solve tasks fan their
+  /// adaptive sweep out through parallel_for, which submits helpers from
+  /// inside a worker. Tasks must not throw — a throwing task is caught,
+  /// counted, and dropped so one bad job can never take the pool down.
   void submit(Task task);
+
+  /// Fork-join over [0, n); see the contract above the class.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body) override;
 
   /// Block until every submitted task has finished running.
   void wait_idle();

@@ -26,6 +26,17 @@ StreamService::RoutedSink route_plain(StreamService::Sink sink) {
   };
 }
 
+/// A calibrate solve that borrows `pool` for its adaptive sweep: one task
+/// per scanning range, so a flush spreads over every pool thread. The
+/// report bytes are those of the serial sweep (DESIGN §10.8).
+core::CalibrationReport calibrate_on(engine::ThreadPool* pool,
+                                     const std::vector<sim::PhaseSample>& rows,
+                                     const SessionConfig& config) {
+  core::RobustCalibrationConfig cal = config.calibration;
+  cal.adaptive.executor = pool;
+  return core::calibrate_antenna_robust(rows, config.center, cal);
+}
+
 }  // namespace
 
 StreamService::StreamService(ServiceConfig config, Sink sink)
@@ -466,9 +477,8 @@ void StreamService::replay_records(StreamSession& session,
     const std::vector<sim::PhaseSample> prefix(
         session.buffer.begin(),
         session.buffer.begin() + static_cast<std::ptrdiff_t>(*memo_samples));
-    session.cal_memo.install(
-        prefix, core::calibrate_antenna_robust(prefix, session.config.center,
-                                               session.config.calibration));
+    session.cal_memo.install(prefix,
+                             calibrate_on(pool_, prefix, session.config));
   }
 }
 
@@ -970,9 +980,7 @@ void StreamService::run_request(SolveRequest& request) {
         report.diagnostics.message =
             "serve: request exceeded its deadline before solving";
       } else {
-        report = core::calibrate_antenna_robust(request.samples,
-                                                request.config.center,
-                                                request.config.calibration);
+        report = calibrate_on(pool_, request.samples, request.config);
         cal_solved = true;
       }
       response =
@@ -1053,8 +1061,11 @@ void StreamService::run_request(SolveRequest& request) {
                       : "queue wait + solve exceeded slow_request_s",
             solve_end - request.enqueue_ns);
     }
+    // Notify under mu_: once drain() sees outstanding_ == 0 it may return
+    // and ~StreamService destroy cv_, so this worker must be done with cv_
+    // before it releases the lock.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 void StreamService::evict_idle(std::unique_lock<std::mutex>& lock) {

@@ -1,6 +1,6 @@
 // ThreadPool: execution, idle barrier, stealing, exception containment,
-// and teardown — the properties the batch engine's determinism and
-// liveness rest on.
+// teardown, and the parallel_for fork-join — the properties the batch
+// engine's and the serving layer's determinism and liveness rest on.
 
 #include "engine/thread_pool.hpp"
 
@@ -9,6 +9,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -134,6 +139,141 @@ TEST(ThreadPool, ManyWaitIdleCyclesReuseTheSamePool) {
     pool.wait_idle();
     EXPECT_EQ(total.load(), (round + 1) * 50);
   }
+}
+
+// ---- parallel_for --------------------------------------------------------
+
+std::vector<int> run_counts(ThreadPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  pool.parallel_for(n, [&hits](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  std::vector<int> out;
+  for (const auto& h : hits) out.push_back(h.load());
+  return out;
+}
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  ThreadPool pool(4);
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 1000u}) {
+    const auto counts = run_counts(pool, n);
+    ASSERT_EQ(counts.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(counts[i], 1) << "index " << i << " of " << n;
+    }
+  }
+  pool.wait_idle();
+  EXPECT_EQ(pool.exception_count(), 0u);
+}
+
+TEST(ParallelFor, NestedCallsFromEveryWorkerComplete) {
+  // Both workers sit inside an outer task when they fork, so no worker is
+  // free to run a queued helper: each caller must finish its own indices
+  // instead of waiting on the queue.
+  ThreadPool pool(2);
+  std::atomic<int> arrived{0};
+  std::atomic<int> inner{0};
+  for (int t = 0; t < 2; ++t) {
+    pool.submit([&] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      pool.parallel_for(50, [&inner](std::size_t) { inner.fetch_add(1); });
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(inner.load(), 100);
+}
+
+TEST(ParallelFor, CallFromOutsideThePoolCompletes) {
+  ThreadPool pool(2);
+  std::atomic<long> sum{0};
+  pool.parallel_for(64, [&sum](std::size_t i) {
+    sum.fetch_add(static_cast<long>(i));
+  });
+  EXPECT_EQ(sum.load(), 63 * 64 / 2);
+}
+
+TEST(ParallelFor, OneThreadPoolRunsEveryIndexOnTheCaller) {
+  ThreadPool pool(1);
+  std::promise<bool> all_on_caller;
+  pool.submit([&] {
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran(16);
+    pool.parallel_for(ran.size(), [&ran](std::size_t i) {
+      ran[i] = std::this_thread::get_id();
+    });
+    all_on_caller.set_value(std::all_of(
+        ran.begin(), ran.end(),
+        [caller](std::thread::id id) { return id == caller; }));
+  });
+  EXPECT_TRUE(all_on_caller.get_future().get());
+}
+
+TEST(ParallelFor, RethrowsTheLowestThrowingIndexAndStaysUsable) {
+  ThreadPool pool(4);
+  // Index 7 throws first in time: index 3 waits (bounded) until it has.
+  std::atomic<bool> seven_threw{false};
+  std::vector<std::atomic<int>> ran(20);
+  try {
+    pool.parallel_for(ran.size(), [&](std::size_t i) {
+      ran[i].fetch_add(1);
+      if (i == 7) {
+        seven_threw.store(true);
+        throw std::runtime_error("index 7");
+      }
+      if (i == 3) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!seven_threw.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        throw std::runtime_error("index 3");
+      }
+    });
+    FAIL() << "parallel_for swallowed the bodies' exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 3");
+  }
+  // Every other index still ran, once.
+  for (std::size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i].load(), 1);
+  // The throws never reached the pool's catch-all...
+  pool.wait_idle();
+  EXPECT_EQ(pool.exception_count(), 0u);
+  // ...and the pool still forks and runs plain tasks.
+  const auto counts = run_counts(pool, 100);
+  EXPECT_EQ(std::count(counts.begin(), counts.end(), 1), 100);
+  std::atomic<int> plain{0};
+  pool.submit([&plain] { plain.fetch_add(1); });
+  pool.wait_idle();
+  EXPECT_EQ(plain.load(), 1);
+}
+
+TEST(ParallelFor, LateHelperTouchesNothingOfTheCaller) {
+  // Pin both workers so the call's helpers stay queued; the caller runs
+  // every index itself and returns, and its body is destroyed before the
+  // helpers start. A helper that reached the body would be a
+  // use-after-free (caught under ASan).
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> pinned{0};
+  for (int t = 0; t < 2; ++t) {
+    pool.submit([&] {
+      pinned.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (pinned.load() < 2) std::this_thread::yield();
+  int ran = 0;  // only the caller runs bodies: no synchronization needed
+  auto body = std::make_unique<std::function<void(std::size_t)>>(
+      [&ran](std::size_t) { ++ran; });
+  pool.parallel_for(3, *body);
+  body.reset();
+  EXPECT_EQ(ran, 3);
+  release.store(true);
+  pool.wait_idle();  // the queued helpers run now, and find nothing
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(pool.exception_count(), 0u);
 }
 
 }  // namespace
