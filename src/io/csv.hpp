@@ -47,6 +47,12 @@ enum class CsvRowStatus {
 /// stream-vs-batch conformance depends on this. After a kError row the
 /// parser stays usable: layout (if already locked) is kept and the next
 /// line is parsed normally.
+///
+/// Numeric fields take std::stod's value and error text; plain decimal
+/// fields are read by std::from_chars only where that provably gives the
+/// same double (DESIGN §11.5), so a data row on a locked layout makes no
+/// heap allocation. A channel outside [0, 2^32) after truncation toward
+/// zero (negative, NaN, too large) is a kError row.
 class CsvStreamParser {
  public:
   struct Result {

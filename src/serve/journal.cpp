@@ -98,20 +98,40 @@ bool read_file(const std::string& path, std::string& out) {
 }  // namespace
 
 std::uint32_t journal_crc32(std::string_view data) {
+  // Slicing-by-8: table[k][b] is the CRC of byte b followed by k zero
+  // bytes, so eight bytes fold in with eight independent lookups. Words
+  // are assembled from bytes, so the value does not depend on the host's
+  // endianness; table[0] alone is the classic bytewise table.
   static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
+  const char* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+          table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = table[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFF] ^
+          (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

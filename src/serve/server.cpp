@@ -12,7 +12,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -77,23 +76,6 @@ std::string_view next_token(std::string_view& rest) {
   const std::string_view token = rest.substr(i, j - i);
   rest.remove_prefix(j);
   return token;
-}
-
-// Exactly parse_control's `!tick <n>` validity: parse_count (full-consume
-// strtod, non-negative, <= 1e15, integral) and nonzero. The router must
-// agree with the wire parser on this, or a malformed tick would fan out
-// to every shard and answer with N usage errors instead of one.
-bool valid_tick_count(std::string_view token) {
-  const std::string buf(token);  // short tokens: SSO, no heap
-  if (buf.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (v < 0.0 || v != v || v > 1e15 ||
-      v != static_cast<double>(static_cast<std::size_t>(v))) {
-    return false;
-  }
-  return static_cast<std::size_t>(v) > 0;
 }
 
 }  // namespace
@@ -514,7 +496,7 @@ std::size_t SocketServer::route_of(Conn& conn, std::string_view raw,
     const bool numeric_lead = (lead >= '0' && lead <= '9') || lead == '-' ||
                               lead == '+' || lead == '.';
     if (numeric_lead) {
-      if (!valid_tick_count(arg)) return by_mirror();  // usage error
+      if (!parse_tick_count(arg)) return by_mirror();  // usage error
       // A valid clock advance applies to every shard's virtual clock.
       broadcast = true;
       return 0;

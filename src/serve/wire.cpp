@@ -134,11 +134,9 @@ ParsedLine parse_control(std::string_view line) {
         lead == '.';
     if (numeric_lead) {
       out.kind = ParsedLine::kTick;
-      std::size_t n = 0;
-      if (!parse_count(tokens[1], n) || n == 0) {
-        return error_line("wire: usage: !tick <n>");
-      }
-      out.ticks = n;
+      const std::optional<std::size_t> n = parse_tick_count(tokens[1]);
+      if (!n) return error_line("wire: usage: !tick <n>");
+      out.ticks = *n;
       return out;
     }
     out.kind = ParsedLine::kPoseTick;
@@ -357,6 +355,12 @@ ParsedLine parse_json_record(std::string_view line) {
 }
 
 }  // namespace
+
+std::optional<std::size_t> parse_tick_count(std::string_view token) {
+  std::size_t n = 0;
+  if (!parse_count(token, n) || n == 0) return std::nullopt;
+  return n;
+}
 
 bool valid_session_id(std::string_view id) {
   if (id.empty() || id.size() > 64) return false;

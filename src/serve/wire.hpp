@@ -143,6 +143,12 @@ struct ParsedLine {
 /// Decode one line. Never throws; malformed input yields kError.
 ParsedLine parse_line(std::string_view line);
 
+/// The `!tick <n>` clock-advance argument: a number strtod consumes
+/// whole that is a positive integer no larger than 1e15. parse_line and
+/// the socket router both decide with this one function, so a malformed
+/// tick is answered once instead of being fanned out to every shard.
+std::optional<std::size_t> parse_tick_count(std::string_view token);
+
 /// Valid session ids: 1..64 chars from [A-Za-z0-9_.:-]. Keeps ids safe to
 /// echo into JSON responses and log lines without quoting surprises.
 bool valid_session_id(std::string_view id);

@@ -16,14 +16,20 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
+#include <stdio.h>
+#include <unistd.h>
+
 #include "core/ransac.hpp"
+#include "io/csv.hpp"
 #include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/small.hpp"
 #include "linalg/stats.hpp"
 #include "rf/rng.hpp"
+#include "serve/journal.hpp"
 
 namespace {
 
@@ -255,6 +261,65 @@ TEST(AllocationContract, ReloadAcrossShapesStaysAllocationFreeOnceWarm) {
     core::ransac_solve(large.a, large.b, opt, ws, out);
   });
   EXPECT_EQ(n, 0u) << "shape switch reallocated " << n << " times";
+}
+
+TEST(AllocationContract, CsvDataRowIsAllocationFreeOnceTheLayoutIsLocked) {
+  // The serve shard thread parses every wire read with this call; its
+  // fields are string_views and plain decimals never reach std::stod.
+  std::vector<std::string> rows;
+  rf::Rng rng(17);
+  for (int i = 0; i < 64; ++i) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf, "%.17g,%.17g,%.17g,%.17g,%.6f,%d,%.17g",
+                  rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                  rng.uniform(0.0, 0.5), rng.uniform(0.0, 6.28),
+                  rng.uniform(-70.0, -40.0), i % 16, 0.01 * i);
+    rows.emplace_back(buf);
+  }
+  io::CsvStreamParser parser;
+  ASSERT_EQ(parser.push_line("x,y,z,phase,rssi,channel,t").status,
+            io::CsvRowStatus::kHeader);
+  ASSERT_EQ(parser.push_line(rows[0]).status, io::CsvRowStatus::kSample);
+
+  std::size_t parsed = 0;
+  const std::size_t n = allocations_during([&] {
+    for (const std::string& row : rows) {
+      parsed += parser.push_line(row).status == io::CsvRowStatus::kSample;
+    }
+  });
+  EXPECT_EQ(n, 0u) << "data rows touched the heap " << n << " times";
+  EXPECT_EQ(parsed, rows.size());
+}
+
+TEST(AllocationContract, WarmJournalAppendIsAllocationFree) {
+  char tmpl[] = "/tmp/lion_alloc_journal_XXXXXX";
+  const char* dir = ::mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  {
+    serve::JournalStoreConfig cfg;
+    cfg.dir = dir;
+    cfg.fsync_every = 64;  // a few syncs land inside the counted window
+    serve::JournalStore store(cfg);
+    ASSERT_TRUE(store.ok()) << store.error();
+    auto writer = store.open_writer("alloc", 0);
+    ASSERT_NE(writer, nullptr);
+    const std::string row =
+        "0.12345678901234567,-0.5,0.25,3.1415926535897931,-55.5,3,0.125";
+    ASSERT_TRUE(writer->append(serve::JournalRecordType::kCsvRow, row, 1, 1));
+
+    bool ok = true;
+    const std::size_t n = allocations_during([&] {
+      for (std::uint64_t i = 2; i < 200; ++i) {
+        ok = writer->append(serve::JournalRecordType::kCsvRow, row, i, i) &&
+             ok;
+      }
+    });
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(n, 0u) << "warm appends touched the heap " << n << " times";
+    writer.reset();
+    store.remove("alloc");
+  }
+  ::rmdir(dir);
 }
 
 }  // namespace

@@ -168,6 +168,44 @@ TEST(MalformedCsv, OutOfOrderTimestampsAreAcceptedAtParseLayer) {
   }
 }
 
+TEST(MalformedCsv, OutOfRangeChannelIsAParseErrorResponse) {
+  // A channel the uint32_t field cannot hold (negative, NaN, >= 2^32) is
+  // a parse_error answer, never an undefined conversion; the session
+  // keeps ingesting afterwards.
+  std::vector<std::string> lines;
+  serve::StreamService service(
+      serve::ServiceConfig{},
+      [&lines](std::string_view l) { lines.emplace_back(l); });
+  service.ingest_line("!session ch center=0,0.8,0");
+  service.ingest_line("x,y,z,phase,rssi,channel,t");
+  const char* bad[] = {"0.1,0.2,0.3,1.5,-60,-3,0.1",
+                       "0.1,0.2,0.3,1.5,-60,nan,0.2",
+                       "0.1,0.2,0.3,1.5,-60,4294967296,0.3",
+                       "0.1,0.2,0.3,1.5,-60,1e300,0.4"};
+  for (const char* row : bad) service.ingest_line(row);
+  service.finish();
+  ASSERT_EQ(lines.size(), std::size(bad));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find("\"schema\":\"lion.error.v1\""), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("\"code\":\"parse_error\""), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("csv: channel out of range on line " +
+                            std::to_string(i + 2)),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(service.stats().parse_errors, std::size(bad));
+
+  lines.clear();
+  service.ingest_line("0.1,0.2,0.3,1.5,-60,4294967295,0.5");
+  service.ingest_line("!flush ch");
+  service.finish();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"schema\":\"lion.report.v1\""), std::string::npos)
+      << lines[0];
+}
+
 TEST(MalformedWire, RandomLinesParseTotally) {
   Lcg rng(97);
   const std::string alphabet =

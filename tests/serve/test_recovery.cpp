@@ -366,6 +366,31 @@ TEST(Recovery, GoldenRigSurvivesCrashInsideDriftGate) {
       "golden_rig (restored)");
 }
 
+// The journal file is a durable format: the bytes written for a fixed
+// stream are pinned, so a change to the record framing, the CRC kernel or
+// what gets journaled shows up here, not at a customer's restore.
+TEST(Recovery, GoldenRigJournalBytesArePinned) {
+  const auto rows = split_rows(read_file(data_path("golden_rig.csv")));
+  ASSERT_FALSE(rows.empty());
+  std::vector<std::string> input;
+  input.push_back("!session g center=0,0.8,0");
+  input.insert(input.end(), rows.begin(), rows.end());
+  input.push_back("!flush g");
+
+  TempDir dir;
+  Process p(dir.path);
+  p.feed(input, 0, input.size());
+  const std::string path = p.store->path_for("g");
+  p.crash();
+  const std::string bytes = read_file(path);
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a 64
+  for (const char c : bytes) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  EXPECT_EQ(bytes.size(), 107974u);
+  EXPECT_EQ(digest, 16329722370609217886ull);
+}
+
 // Track mode: windows solve as rows arrive, so seqs are consumed by data
 // lines themselves — the snapshot fast-forward must cover them too.
 TEST(Recovery, TrackModeRestoreMatchesUninterrupted) {

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -29,6 +30,7 @@
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "serve/wire.hpp"
 
 namespace lion {
 namespace {
@@ -399,6 +401,44 @@ TEST(Sharding, BroadcastControlsAnswerOncePerShard) {
   // routing bug.
   EXPECT_EQ(ticks % kShards, 0u);
   EXPECT_EQ(errors, 3u);
+}
+
+// The router broadcasts `!tick <n>` exactly when parse_line reads it as a
+// clock advance (kTick); every other argument is answered once, on one
+// shard. Both sides call serve::parse_tick_count, and this pins that they
+// agree on the spellings strtod treats specially.
+TEST(Sharding, RouterBroadcastsExactlyTheTicksTheParserAccepts) {
+  constexpr std::size_t kShards = 3;
+  for (const char* token :
+       {"0", "1", "+1", "1e3", "1.5", "-1", "0x10", "1e16", "nan", ".5"}) {
+    SCOPED_TRACE(token);
+    const std::string tick = std::string("!tick ") + token;
+    const serve::ParsedLine parsed = serve::parse_line(tick);
+    ServerGuard guard(base_config(kShards));
+    const auto lines =
+        split_rows(roundtrip(guard.server.port(), tick + "\n!stats\n", 0));
+    std::size_t stats = 0;
+    std::size_t errors = 0;
+    std::uint64_t min_ticks = UINT64_MAX;
+    for (const auto& line : lines) {
+      if (line.find("\"schema\":\"lion.stats.v1\"") != std::string::npos) {
+        ++stats;
+        min_ticks = std::min(min_ticks, json_uint_field(line, "ticks"));
+      } else if (line.find("\"schema\":\"lion.error.v1\"") !=
+                 std::string::npos) {
+        ++errors;
+      }
+    }
+    ASSERT_EQ(stats, kShards);
+    if (parsed.kind == serve::ParsedLine::kTick) {
+      // Each shard counts the tick line, its n ticks and the !stats line;
+      // a shard the tick skipped would show 1.
+      EXPECT_EQ(errors, 0u);
+      EXPECT_GE(min_ticks, parsed.ticks + 1);
+    } else {
+      EXPECT_EQ(errors, 1u) << "a rejected tick must answer exactly once";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
